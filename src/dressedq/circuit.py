@@ -22,14 +22,26 @@ from .errors import ConfigurationError
 
 MAX_DEPTH = 64
 
-# Running count of quantum_forward invocations in this process. Used to
-# validate circuit-evaluation arithmetic against a real training epoch.
+# Running count of circuits run by quantum_forward in this process, plus
+# those pool workers report back. Used to validate circuit-evaluation
+# arithmetic against a real training epoch.
 _forward_evals = 0
+
+# A batched call runs its rows in chunks of at most max(1, BATCH_AMPLITUDES
+# >> q) rows, so one chunk holds about 2^18 float64 amplitudes (2 MiB)
+# whatever the batch size.
+BATCH_AMPLITUDES = 1 << 18
 
 
 def forward_eval_count() -> int:
-    """Total quantum_forward calls since process start (monotone counter)."""
+    """Total circuit runs since process start (monotone counter)."""
     return _forward_evals
+
+
+def add_forward_evals(count: int) -> None:
+    """Credit circuit runs made in another process, such as a pool worker."""
+    global _forward_evals
+    _forward_evals += count
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,11 @@ class CircuitSpec:
 
 @dataclass
 class QuantumParams:
-    """Trainable rotation angles, one per (layer, wire)."""
+    """Trainable rotation angles, one per (layer, wire).
+
+    A batched quantum_forward call also accepts one angle set per circuit,
+    shape (K, depth, qubits).
+    """
 
     thetas: np.ndarray  # shape (depth, qubits)
 
@@ -59,13 +75,14 @@ class QuantumParams:
 
 
 def _check_args(spec: CircuitSpec, params: QuantumParams, embed_angles: np.ndarray):
-    if params.thetas.shape != (spec.depth, spec.qubits):
+    q, d = spec.qubits, spec.depth
+    if embed_angles.ndim not in (1, 2) or embed_angles.shape[-1] != q:
         raise ConfigurationError(
-            f"thetas shape {params.thetas.shape} != ({spec.depth}, {spec.qubits})"
+            f"embed_angles shape {embed_angles.shape} != ({q},) or (K, {q})"
         )
-    if embed_angles.shape != (spec.qubits,):
+    if params.thetas.shape not in ((d, q), (*embed_angles.shape[:-1], d, q)):
         raise ConfigurationError(
-            f"embed_angles shape {embed_angles.shape} != ({spec.qubits},)"
+            f"thetas shape {params.thetas.shape} != ({d}, {q}) or (K, {d}, {q})"
         )
     if not (np.all(np.isfinite(params.thetas)) and np.all(np.isfinite(embed_angles))):
         raise ValueError("non-finite circuit angle")
@@ -74,25 +91,49 @@ def _check_args(spec: CircuitSpec, params: QuantumParams, embed_angles: np.ndarr
 def quantum_forward(
     spec: CircuitSpec, params: QuantumParams, embed_angles: np.ndarray
 ) -> np.ndarray:
-    """Run the circuit once; returns the q per-wire Z expectations."""
+    """Run the circuit; returns the per-wire Z expectations.
+
+    embed_angles of shape (q,) runs one circuit and returns shape (q,). A
+    batch of shape (K, q) runs K circuits as the rows of one state and
+    returns (K, q); thetas are then shared, shape (depth, q), or one set per
+    row, shape (K, depth, q). Each row's result equals the single-circuit
+    call's exactly. Counts K circuit evaluations.
+    """
     global _forward_evals
     embed_angles = np.asarray(embed_angles, dtype=float)
     _check_args(spec, params, embed_angles)
-    _forward_evals += 1
+    embeds = embed_angles.reshape(-1, spec.qubits)
+    k = len(embeds)
+    shared = params.thetas.ndim == 2
+    _forward_evals += k
 
+    out = np.empty((k, spec.qubits))
+    chunk = max(1, BATCH_AMPLITUDES >> spec.qubits)
+    for start in range(0, k, chunk):
+        rows = slice(start, start + chunk)
+        thetas = params.thetas if shared else params.thetas[rows]
+        out[rows] = _run_rows(spec, thetas, embeds[rows])
+    return out[0] if embed_angles.ndim == 1 else out
+
+
+def _run_rows(spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray) -> np.ndarray:
+    """The circuit layout on a (K, 2^q) state; embeds (K, q), thetas shared
+    (d, q) or per row (K, d, q)."""
     q = spec.qubits
-    state = qsim.new_zero_state(q)
+    # angles[layer][i]: a float when shared, a length-K vector per row.
+    angles = thetas.tolist() if thetas.ndim == 2 else np.moveaxis(thetas, 0, -1)
+    state = qsim.new_zero_state(q, rows=len(embeds))
     for i in range(q):
         qsim.apply_h(state, i)
     for i in range(q):
-        qsim.apply_ry(state, i, embed_angles[i])
+        qsim.apply_ry(state, i, embeds[:, i])
     for layer in range(spec.depth):
         for i in range(0, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(1, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(q):
-            qsim.apply_ry(state, i, params.thetas[layer, i])
+            qsim.apply_ry(state, i, angles[layer][i])
     return qsim.expect_z_all(state)
 
 
@@ -105,39 +146,28 @@ def param_shift_grad(
       jac_thetas[o, l, i] = d out[o] / d thetas[l, i]   shape (q, depth, q)
       jac_embed[o, j]     = d out[o] / d embed[j]       shape (q, q)
       value               = quantum_forward at the unshifted point.
-    Costs 1 + 2*(depth*q + q) circuit evaluations.
+    Costs 1 + 2*(depth*q + q) circuit evaluations, run as one batch.
     """
     embed_angles = np.asarray(embed_angles, dtype=float)
-    _check_args(spec, params, embed_angles)
     q, d = spec.qubits, spec.depth
-    half_pi = np.pi / 2.0
-
-    value = quantum_forward(spec, params, embed_angles)
-
-    jac_thetas = np.empty((q, d, q))
-    shifted = params.copy()
-    for layer in range(d):
-        for i in range(q):
-            orig = shifted.thetas[layer, i]
-            shifted.thetas[layer, i] = orig + half_pi
-            plus = quantum_forward(spec, shifted, embed_angles)
-            shifted.thetas[layer, i] = orig - half_pi
-            minus = quantum_forward(spec, shifted, embed_angles)
-            shifted.thetas[layer, i] = orig
-            jac_thetas[:, layer, i] = (plus - minus) / 2.0
-
-    jac_embed = np.empty((q, q))
-    shifted_embed = embed_angles.copy()
-    for j in range(q):
-        orig = shifted_embed[j]
-        shifted_embed[j] = orig + half_pi
-        plus = quantum_forward(spec, params, shifted_embed)
-        shifted_embed[j] = orig - half_pi
-        minus = quantum_forward(spec, params, shifted_embed)
-        shifted_embed[j] = orig
-        jac_embed[:, j] = (plus - minus) / 2.0
-
-    return jac_thetas, jac_embed, value
+    if params.thetas.shape != (d, q) or embed_angles.shape != (q,):
+        raise ConfigurationError(
+            f"param_shift_grad takes thetas ({d}, {q}) and embed_angles ({q},), "
+            f"got {params.thetas.shape} and {embed_angles.shape}"
+        )
+    # Row 0 is the unshifted point; rows 2p+1 and 2p+2 shift angle p (thetas
+    # in row-major order, then the embedding angles) by +pi/2 and -pi/2.
+    n = d * q + q
+    k = 1 + 2 * n
+    angles = np.tile(np.concatenate([params.thetas.ravel(), embed_angles]), (k, 1))
+    p = np.arange(n)
+    angles[2 * p + 1, p] += np.pi / 2.0
+    angles[2 * p + 2, p] -= np.pi / 2.0
+    out = quantum_forward(
+        spec, QuantumParams(angles[:, : d * q].reshape(k, d, q)), angles[:, d * q :]
+    )
+    diffs = (out[1::2] - out[2::2]) / 2.0  # row p: d out / d angle p
+    return diffs[: d * q].T.reshape(q, d, q), diffs[d * q :].T, out[0]
 
 
 def circuit_evals_per_sample(spec: CircuitSpec) -> int:

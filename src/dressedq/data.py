@@ -103,6 +103,7 @@ def load_csv(path: str) -> Dataset:
     """Parse a dataset file; class count is inferred as max label + 1."""
     rows: list[list[float]] = []
     labels: list[int] = []
+    linenos: list[int] = []
     width = None
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -127,9 +128,13 @@ def load_csv(path: str) -> Dataset:
                 raise DataFormatError(f"line {lineno}: negative label {label}")
             labels.append(label)
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise DataFormatError("empty dataset file")
     features = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"line {linenos[bad[0]]}: non-finite feature value")
     labels_arr = np.asarray(labels, dtype=np.int64)
     return Dataset(features, labels_arr, int(labels_arr.max()) + 1, features.shape[1])
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import CircuitSpec, QuantumParams, add_forward_evals, forward_eval_count
 from .data import Dataset, batches, shard
 from .errors import ConfigurationError, SyncError, TrainingError
 from .model import (
@@ -87,10 +88,10 @@ def allreduce_mean(per_worker_grads: list[Gradients]) -> Gradients:
     return level[0].scale_(1.0 / len(per_worker_grads))
 
 
-def _grad_task(payload) -> tuple[tuple, float]:
-    """Pool worker entry: rebuild the replica, return batch-mean gradient."""
-    from .circuit import CircuitSpec, QuantumParams
-
+def _grad_task(payload) -> tuple[tuple, float, int]:
+    """Pool worker entry: rebuild the replica; return the batch-mean
+    gradient, the mean loss and the circuit runs made."""
+    evals_before = forward_eval_count()
     (q, d, dim, classes), blocks, feats, labels = payload
     replica = HybridModel(
         spec=CircuitSpec(qubits=q, depth=d),
@@ -103,7 +104,7 @@ def _grad_task(payload) -> tuple[tuple, float]:
         post_bias=blocks[4],
     )
     grad, loss = batch_gradient(replica, feats, labels)
-    return tuple(grad.blocks()), loss
+    return tuple(grad.blocks()), loss, forward_eval_count() - evals_before
 
 
 def _model_payload(model: HybridModel):
@@ -205,8 +206,11 @@ def _step_gradients(replicas, train_set, batch_lists, step, pool):
                 results.append(fut.result())
             except Exception as exc:
                 raise TrainingError(f"worker {w} failed: {exc}") from exc
-    grads = [Gradients(*(np.asarray(b) for b in blocks)) for blocks, _ in results]
-    losses = [loss for _, loss in results]
+        # Workers count their circuit runs in their own processes; the
+        # in-process path above has already counted them here.
+        add_forward_evals(sum(evals for _, _, evals in results))
+    grads = [Gradients(*(np.asarray(b) for b in blocks)) for blocks, _, _ in results]
+    losses = [loss for _, loss, _ in results]
     return grads, losses
 
 

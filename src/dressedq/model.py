@@ -156,7 +156,8 @@ def init_model(
 
 
 def _embed(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = model.pre_weights @ features + model.pre_bias
+    """Pre-net output and circuit angles for features (D,) or a batch (n, D)."""
+    z = (model.pre_weights @ features.T).T + model.pre_bias
     return z, (np.pi / 2.0) * np.tanh(z)
 
 
@@ -262,11 +263,10 @@ def evaluate(model: HybridModel, dataset) -> float:
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    for x, y in zip(dataset.features, dataset.labels):
-        if int(np.argmax(forward(model, x))) == int(y):
-            correct += 1
-    return correct / len(dataset)
+    _, embeds = _embed(model, dataset.features)
+    qout = quantum_forward(model.spec, model.qparams, embeds)
+    logits = qout @ model.post_weights.T + model.post_bias
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels)) / len(dataset)
 
 
 def save_checkpoint(model: HybridModel, path: str) -> None:
@@ -287,20 +287,33 @@ def save_checkpoint(model: HybridModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> HybridModel:
+    """Read a save_checkpoint file; a malformed one raises ConfigurationError."""
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigurationError(f"bad checkpoint magic {magic!r}")
-        q, d, dim, classes = struct.unpack("<4i", f.read(16))
-        spec = CircuitSpec(qubits=q, depth=d)
-        shapes = [(q, dim), (q,), (d, q), (classes, q), (classes,)]
-        blocks = []
-        for shape in shapes:
-            count = int(np.prod(shape))
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ConfigurationError("truncated checkpoint")
-            blocks.append(np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape))
+        raw = f.read()
+    header_end = len(CHECKPOINT_MAGIC) + 16
+    magic = raw[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise ConfigurationError(f"bad checkpoint magic {magic!r}")
+    if len(raw) < header_end:
+        raise ConfigurationError("truncated checkpoint header")
+    q, d, dim, classes = struct.unpack_from("<4i", raw, len(CHECKPOINT_MAGIC))
+    spec = CircuitSpec(qubits=q, depth=d)
+    if dim < 0 or classes < 0:
+        raise ConfigurationError(f"negative checkpoint dimension: D={dim}, C={classes}")
+    shapes = [(q, dim), (q,), (d, q), (classes, q), (classes,)]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    expected = header_end + 8 * sum(sizes)
+    if len(raw) < expected:
+        raise ConfigurationError("truncated checkpoint")
+    if len(raw) > expected:
+        raise ConfigurationError(f"{len(raw) - expected} trailing bytes after checkpoint weights")
+    weights = np.frombuffer(raw, dtype="<f8", offset=header_end).astype(float)
+    if not np.all(np.isfinite(weights)):
+        raise ConfigurationError("non-finite checkpoint weight")
+    blocks = [
+        block.reshape(shape)
+        for block, shape in zip(np.split(weights, np.cumsum(sizes)[:-1]), shapes)
+    ]
     return HybridModel(
         spec=spec,
         feature_dim=dim,

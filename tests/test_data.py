@@ -101,6 +101,14 @@ def test_load_csv_non_numeric_names_line(tmp_path):
         load_csv(str(path))
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_load_csv_non_finite_names_line(tmp_path, field):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,1.0,2.0\n\n1,3.0,{field}\n")
+    with pytest.raises(DataFormatError, match="line 3"):
+        load_csv(str(path))
+
+
 def test_load_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

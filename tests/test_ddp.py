@@ -12,7 +12,7 @@ from dressedq import (
     scale_lr,
     train_distributed,
 )
-from dressedq.circuit import CircuitSpec
+from dressedq.circuit import CircuitSpec, forward_eval_count
 from dressedq.data import batches, generate_synthetic, shard
 from dressedq.model import batch_gradient, sgd_step
 
@@ -150,6 +150,17 @@ def test_parallel_processes_match_serial_bitwise():
     for a, b in zip(serial.weight_blocks(), procs.weight_blocks()):
         assert np.array_equal(a, b)
     assert [m.mean_loss for m in sm] == [m.mean_loss for m in pm]
+
+
+def test_parallel_epoch_counts_worker_circuit_runs():
+    ds, model = make_problem(n=16)
+    config = TrainConfig(epochs=1, batch_size=4, base_lr=4e-4, workers=2, seed=23)
+    counts = []
+    for parallel in (False, True):
+        before = forward_eval_count()
+        train_distributed(model.copy(), ds, config, parallel=parallel)
+        counts.append(forward_eval_count() - before)
+    assert counts[1] == counts[0]
 
 
 def test_loss_non_increasing_on_separable_data():

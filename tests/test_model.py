@@ -14,7 +14,7 @@ from dressedq import (
 )
 from dressedq.circuit import CircuitSpec, QuantumParams, quantum_forward
 from dressedq.data import Dataset
-from dressedq.errors import TrainingError
+from dressedq.errors import ConfigurationError, TrainingError
 from dressedq.model import HybridModel, softmax
 
 
@@ -215,3 +215,41 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.feature_dim == 6 and loaded.num_classes == 2
     for a, b in zip(model.weight_blocks(), loaded.weight_blocks()):
         assert np.array_equal(a, b)
+
+
+def test_checkpoint_resave_is_byte_identical(tmp_path):
+    model = init_model(CircuitSpec(qubits=3, depth=2), 6, 2, seed=43)
+    first, second = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    save_checkpoint(model, first)
+    save_checkpoint(load_checkpoint(first), second)
+    with open(first, "rb") as a, open(second, "rb") as b:
+        assert a.read() == b.read()
+
+
+def _saved_bytes(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(init_model(CircuitSpec(qubits=2, depth=1), 3, 2, seed=44), str(path))
+    return path, path.read_bytes()
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path, raw = _saved_bytes(tmp_path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ConfigurationError, match="trailing"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_weight_rejected(tmp_path, value):
+    path, raw = _saved_bytes(tmp_path)
+    path.write_bytes(raw[:-8] + np.array([value], dtype="<f8").tobytes())
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("cut", [3, 12, -1])
+def test_checkpoint_truncated_rejected(tmp_path, cut):
+    path, raw = _saved_bytes(tmp_path)
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ConfigurationError):
+        load_checkpoint(str(path))
