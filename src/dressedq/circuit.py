@@ -142,32 +142,50 @@ def param_shift_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Jacobians of every output w.r.t. every angle.
 
-    Returns (jac_thetas, jac_embed, value) where
+    Returns (jac_thetas, jac_embed, value) where, for embed_angles (q,),
       jac_thetas[o, l, i] = d out[o] / d thetas[l, i]   shape (q, depth, q)
       jac_embed[o, j]     = d out[o] / d embed[j]       shape (q, q)
       value               = quantum_forward at the unshifted point.
-    Costs 1 + 2*(depth*q + q) circuit evaluations, run as one batch.
+    For a batch of B samples, embed_angles (B, q), each result gains a
+    leading B axis and row b equals the single-sample call on embed_angles[b]
+    exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample; all
+    B samples run as one batch.
     """
     embed_angles = np.asarray(embed_angles, dtype=float)
     q, d = spec.qubits, spec.depth
-    if params.thetas.shape != (d, q) or embed_angles.shape != (q,):
+    if (
+        params.thetas.shape != (d, q)
+        or embed_angles.ndim not in (1, 2)
+        or embed_angles.shape[-1] != q
+        or embed_angles.size == 0
+    ):
         raise ConfigurationError(
-            f"param_shift_grad takes thetas ({d}, {q}) and embed_angles ({q},), "
-            f"got {params.thetas.shape} and {embed_angles.shape}"
+            f"param_shift_grad takes thetas ({d}, {q}) and embed_angles ({q},) "
+            f"or (B, {q}) with B >= 1, got {params.thetas.shape} and {embed_angles.shape}"
         )
-    # Row 0 is the unshifted point; rows 2p+1 and 2p+2 shift angle p (thetas
-    # in row-major order, then the embedding angles) by +pi/2 and -pi/2.
-    n = d * q + q
+    # Per sample, row 0 is the unshifted point; rows 2p+1 and 2p+2 shift
+    # angle p (thetas in row-major order, then the embedding angles) by +pi/2
+    # and -pi/2.
+    embeds = embed_angles.reshape(-1, q)
+    b, n = len(embeds), d * q + q
     k = 1 + 2 * n
-    angles = np.tile(np.concatenate([params.thetas.ravel(), embed_angles]), (k, 1))
+    angles = np.empty((b, k, n))
+    angles[:, :, : d * q] = params.thetas.ravel()
+    angles[:, :, d * q :] = embeds[:, None, :]
     p = np.arange(n)
-    angles[2 * p + 1, p] += np.pi / 2.0
-    angles[2 * p + 2, p] -= np.pi / 2.0
+    angles[:, 2 * p + 1, p] += np.pi / 2.0
+    angles[:, 2 * p + 2, p] -= np.pi / 2.0
     out = quantum_forward(
-        spec, QuantumParams(angles[:, : d * q].reshape(k, d, q)), angles[:, d * q :]
-    )
-    diffs = (out[1::2] - out[2::2]) / 2.0  # row p: d out / d angle p
-    return diffs[: d * q].T.reshape(q, d, q), diffs[d * q :].T, out[0]
+        spec,
+        QuantumParams(angles[:, :, : d * q].reshape(b * k, d, q)),
+        angles[:, :, d * q :].reshape(b * k, q),
+    ).reshape(b, k, q)
+    diffs = (out[:, 1::2] - out[:, 2::2]) / 2.0  # [b, p]: d out / d angle p
+    jac_thetas = diffs[:, : d * q].transpose(0, 2, 1).reshape(b, q, d, q)
+    jac_embed = diffs[:, d * q :].transpose(0, 2, 1)
+    if embed_angles.ndim == 1:
+        return jac_thetas[0], jac_embed[0], out[0, 0]
+    return jac_thetas, jac_embed, out[:, 0]
 
 
 def circuit_evals_per_sample(spec: CircuitSpec) -> int:

@@ -29,6 +29,10 @@ RUN_CSV_HEADER = [
     "n", "seconds", "train_acc", "val_acc", "seed", "status",
 ]
 
+# The held-out (validation) indices printed at start: the count and at most
+# this many of them.
+HELD_OUT_SHOWN = 20
+
 LATENCY_CSV_HEADER = [
     "sweep", "profile", "n", "qubits", "depth", "epochs", "jobs_per_epoch",
     "total_jobs", "projected_seconds", "budget_seconds", "feasible",
@@ -231,7 +235,9 @@ def main(argv=None) -> str:
         f"dataset: n={len(dataset)} D={dataset.feature_dim} "
         f"C={dataset.num_classes}; train={len(train_set)} val={len(val_set)}"
     )
-    print("held-out indices:", ",".join(str(i) for i in held_out))
+    shown = ",".join(str(i) for i in held_out[:HELD_OUT_SHOWN])
+    more = ",..." if len(held_out) > HELD_OUT_SHOWN else ""
+    print(f"held-out indices ({len(held_out)}): {shown}{more}")
 
     if args.sweep == "latency":
         rows = bench_latency(train_set, args)

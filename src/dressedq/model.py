@@ -4,7 +4,10 @@ forward(x): z = W_pre x + b_pre; embed = (pi/2) tanh(z);
             qout = quantum_forward(embed); logits = W_post qout + b_post.
 
 Gradients are exact: analytic chain rule through both linear layers and
-the tanh squash, parameter-shift Jacobians through the circuit.
+the tanh squash, parameter-shift Jacobians through the circuit. A batch of
+B samples, features (B, D), is one pre-net matmul, one param_shift_grad
+call running all B * (1 + 2(dq + q)) shifted circuits, and a chain rule
+vectorized over the batch.
 """
 from __future__ import annotations
 
@@ -189,53 +192,68 @@ def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
 
 
 def backward(
-    model: HybridModel, features: np.ndarray, label: int
+    model: HybridModel, features: np.ndarray, label: int | np.ndarray
 ) -> tuple[Gradients, float]:
-    """Loss and exact gradients for a single labeled sample."""
+    """Loss and exact gradients for one labeled sample or a batch.
+
+    features (D,) with an int label gives that sample's gradients and loss;
+    features (B, D) with labels (B,) gives the batch-mean gradients and the
+    mean loss, from one param_shift_grad call over all B samples.
+    """
     features = np.asarray(features, dtype=float)
-    if features.shape != (model.feature_dim,):
+    labels = np.asarray(label)
+    if features.ndim not in (1, 2) or features.shape[-1] != model.feature_dim:
         raise ConfigurationError(
-            f"features shape {features.shape} != ({model.feature_dim},)"
+            f"features shape {features.shape} != ({model.feature_dim},) "
+            f"or (B, {model.feature_dim})"
         )
-    if not (0 <= label < model.num_classes):
-        raise ValueError(f"label {label} out of range for {model.num_classes} classes")
+    if labels.shape != features.shape[:-1]:
+        raise ConfigurationError(
+            f"labels shape {labels.shape} does not match features {features.shape}"
+        )
+    if labels.size == 0:
+        raise ConfigurationError("empty batch")
+    if labels.min() < 0 or labels.max() >= model.num_classes:
+        bad = labels[(labels < 0) | (labels >= model.num_classes)].ravel()[0]
+        raise ValueError(f"label {bad} out of range for {model.num_classes} classes")
 
-    z, embed = _embed(model, features)
+    feats = features.reshape(-1, model.feature_dim)
+    labels = labels.reshape(-1).astype(np.intp)
+    rows = np.arange(len(labels))
+    z, embed = _embed(model, feats)  # (B, q)
     jac_thetas, jac_embed, qout = param_shift_grad(model.spec, model.qparams, embed)
-    logits = model.post_weights @ qout + model.post_bias
-    loss = loss_cross_entropy(logits, label)
+    logits = qout @ model.post_weights.T + model.post_bias  # (B, C)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    e_sum = e.sum(axis=1, keepdims=True)
+    losses = np.log(e_sum[:, 0]) - shifted[rows, labels]
 
-    dlogits = softmax(logits)
-    dlogits[label] -= 1.0
+    # Softmax minus one-hot, scaled by 1/B so every sum below is a batch mean.
+    dlogits = e / e_sum
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(labels)
 
-    g_post_w = np.outer(dlogits, qout)
-    g_post_b = dlogits
+    g_post_w = dlogits.T @ qout
+    g_post_b = dlogits.sum(axis=0)
 
-    dqout = model.post_weights.T @ dlogits  # (q,)
-    g_thetas = np.tensordot(dqout, jac_thetas, axes=(0, 0))  # (d, q)
-    dembed = jac_embed.T @ dqout  # (q,)
+    dqout = dlogits @ model.post_weights  # (B, q)
+    g_thetas = np.einsum("bo,boli->li", dqout, jac_thetas)  # (d, q)
+    dembed = np.einsum("bo,boj->bj", dqout, jac_embed)  # (B, q)
 
     dz = dembed * (np.pi / 2.0) * (1.0 - np.tanh(z) ** 2)
-    g_pre_w = np.outer(dz, features)
-    g_pre_b = dz
+    g_pre_w = dz.T @ feats
+    g_pre_b = dz.sum(axis=0)
 
     grads = Gradients(g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b)
-    return grads, loss
+    return grads, float(losses.sum() / len(labels))
 
 
 def batch_gradient(
     model: HybridModel, features: np.ndarray, labels: np.ndarray
 ) -> tuple[Gradients, float]:
-    """Mean gradient and mean loss over a batch of samples."""
-    total = Gradients.zeros_like(model)
-    loss_sum = 0.0
-    for x, y in zip(features, labels):
-        g, loss = backward(model, x, int(y))
-        total.add_(g)
-        loss_sum += loss
-    n = len(labels)
-    total.scale_(1.0 / n)
-    return total, loss_sum / n
+    """Mean gradient and mean loss over a batch, features (B, D), labels (B,):
+    one backward call."""
+    return backward(model, features, labels)
 
 
 def sgd_step(
@@ -298,8 +316,8 @@ def load_checkpoint(path: str) -> HybridModel:
         raise ConfigurationError("truncated checkpoint header")
     q, d, dim, classes = struct.unpack_from("<4i", raw, len(CHECKPOINT_MAGIC))
     spec = CircuitSpec(qubits=q, depth=d)
-    if dim < 0 or classes < 0:
-        raise ConfigurationError(f"negative checkpoint dimension: D={dim}, C={classes}")
+    if dim < 1 or classes < 1:
+        raise ConfigurationError(f"checkpoint dimension below 1: D={dim}, C={classes}")
     shapes = [(q, dim), (q,), (d, q), (classes, q), (classes,)]
     sizes = [int(np.prod(shape)) for shape in shapes]
     expected = header_end + 8 * sum(sizes)

@@ -1,22 +1,28 @@
 """Property tests for the batched simulator: a (K, 2^q) state is K
 independent single-row states, bit for bit, and each row follows the dense
-oracle."""
+oracle. A batched training step (one param_shift_grad and one backward call
+over B samples) equals B single-sample calls."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedq import (
+    ConfigurationError,
     apply_cnot,
     apply_h,
     apply_ry,
+    backward,
+    circuit_evals_per_sample,
     expect_z_all,
+    init_model,
     new_zero_state,
     param_shift_grad,
     quantum_forward,
 )
-from dressedq import circuit
+from dressedq import circuit, model
 from dressedq.circuit import CircuitSpec, QuantumParams, forward_eval_count
+from dressedq.model import batch_gradient
 
 from oracle import run_circuit_dense
 
@@ -141,3 +147,128 @@ def test_ry_angle_count_must_match_rows():
         apply_ry(new_zero_state(2, rows=3), 0, np.zeros(2))
     with pytest.raises(ValueError):
         apply_ry(new_zero_state(2, rows=2), 0, np.array([0.1, np.nan]))
+
+
+@st.composite
+def shift_batches(draw):
+    q = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 3))
+    b = draw(st.integers(1, 5))
+    values = draw(st.lists(ANGLES, min_size=(d + b) * q, max_size=(d + b) * q))
+    values = np.array(values).reshape(d + b, q)
+    return CircuitSpec(q, d), values[:d], values[d:]
+
+
+def assert_batch_equals_single_calls(spec, thetas, embeds):
+    params = QuantumParams(thetas)
+    q, d, b = spec.qubits, spec.depth, len(embeds)
+    before = forward_eval_count()
+    jac_t, jac_e, value = param_shift_grad(spec, params, embeds)
+    assert forward_eval_count() - before == b * circuit_evals_per_sample(spec)
+    assert jac_t.shape == (b, q, d, q)
+    assert jac_e.shape == (b, q, q)
+    assert value.shape == (b, q)
+    for row in range(b):
+        single = param_shift_grad(spec, params, embeds[row])
+        for batched, one in zip((jac_t, jac_e, value), single):
+            assert np.array_equal(batched[row], one)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shift_batches())
+def test_param_shift_batch_equals_single_calls(case):
+    assert_batch_equals_single_calls(*case)
+
+
+def test_param_shift_batch_across_chunk_boundary():
+    # 7 samples of 41 shifted circuits: 287 rows of 2^10 amplitudes, run in
+    # chunks of 256 rows, so one sample's rows straddle the boundary.
+    spec = CircuitSpec(10, 1)
+    assert 7 * circuit_evals_per_sample(spec) > circuit.BATCH_AMPLITUDES >> 10
+    rng = np.random.default_rng(11)
+    thetas = rng.uniform(-np.pi, np.pi, (1, 10))
+    embeds = rng.uniform(-np.pi, np.pi, (7, 10))
+    assert_batch_equals_single_calls(spec, thetas, embeds)
+
+
+@pytest.mark.parametrize("embeds", [np.zeros((0, 2)), np.zeros((3, 3)), np.zeros((1, 2, 2))])
+def test_param_shift_rejects_bad_batch_shapes(embeds):
+    with pytest.raises(ConfigurationError):
+        param_shift_grad(CircuitSpec(2, 1), QuantumParams(np.zeros((1, 2))), embeds)
+
+
+@st.composite
+def labeled_batches(draw):
+    q = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2))
+    dim = draw(st.integers(1, 6))
+    classes = draw(st.integers(2, 4))
+    b = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    net = init_model(CircuitSpec(q, d), dim, classes, seed=seed)
+    # Larger-than-initial angles so every Jacobian entry is exercised.
+    net.qparams.thetas[:] = rng.uniform(-np.pi, np.pi, (d, q))
+    features = rng.normal(size=(b, dim)) * 3.0
+    labels = rng.integers(classes, size=b)
+    return net, features, labels
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(labeled_batches())
+def test_batch_gradient_equals_mean_of_single_backwards(case):
+    net, features, labels = case
+    b = len(labels)
+    singles = [backward(net, x, int(y)) for x, y in zip(features, labels)]
+    before = forward_eval_count()
+    grads, loss = batch_gradient(net, features, labels)
+    assert forward_eval_count() - before == b * circuit_evals_per_sample(net.spec)
+    mean_loss = sum(l for _, l in singles) / b
+    assert abs(loss - mean_loss) <= 1e-13 * abs(mean_loss)
+    for k, block in enumerate(grads.blocks()):
+        terms = np.stack([g.blocks()[k] for g, _ in singles])
+        assert block.shape == terms.shape[1:]
+        # Relative to the largest per-sample term: summands may cancel.
+        scale = np.max(np.abs(terms), initial=0.0)
+        assert np.max(np.abs(block - terms.mean(axis=0)), initial=0.0) <= 1e-13 * scale
+
+
+def test_batch_gradient_is_one_backward_one_shift_pass_one_forward(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # The module globals each layer looks its callee up through.
+    monkeypatch.setattr(model, "backward", counting("backward", model.backward))
+    monkeypatch.setattr(
+        model, "param_shift_grad", counting("param_shift_grad", model.param_shift_grad)
+    )
+    monkeypatch.setattr(
+        circuit, "quantum_forward", counting("quantum_forward", circuit.quantum_forward)
+    )
+    net = init_model(CircuitSpec(4, 6), 8, 2, seed=3)
+    features = np.random.default_rng(3).normal(size=(4, 8))
+    batch_gradient(net, features, np.array([0, 1, 1, 0]))
+    assert calls == ["backward", "param_shift_grad", "quantum_forward"]
+
+
+def test_batch_gradient_rejects_bad_batches():
+    net = init_model(CircuitSpec(2, 1), 3, 2, seed=1)
+    features = np.zeros((4, 3))
+    for labels in ([0, 1, 2, 0], [0, -1, 1, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            batch_gradient(net, features, np.array(labels))
+    bad = [
+        (np.zeros((4, 2)), np.zeros(4, dtype=int)),  # feature width
+        (features, np.zeros(3, dtype=int)),  # label count
+        (features, np.zeros(5, dtype=int)),
+        (np.zeros((0, 3)), np.zeros(0, dtype=int)),  # empty batch
+    ]
+    for feats, labels in bad:
+        with pytest.raises(ConfigurationError):
+            batch_gradient(net, feats, labels)

@@ -103,3 +103,19 @@ def test_csv_dataset_input(tmp_path):
     )
     assert rows[1][-1] == "ok"
     assert rows[1][7] == "32"  # 40 samples minus the 20% holdout
+
+
+def test_held_out_dump_is_capped(tmp_path, capsys):
+    # 5181 samples hold out 1036 validation indices.
+    run_cli(
+        tmp_path, "l.csv", "--sweep", "latency",
+        "--synthetic", "5181,2,2,3", "--seed", "7",
+    )
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("held-out")]
+    assert len(lines) == 1
+    head, _, listed = lines[0].partition(": ")
+    assert head == "held-out indices (1036)"
+    assert listed.endswith(",...")
+    shown = listed[: -len(",...")].split(",")
+    assert len(shown) == 20
+    assert all(s.isdigit() for s in shown)

@@ -1,3 +1,9 @@
+import os
+import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -6,12 +12,14 @@ from dressedq import (
     Gradients,
     SyncError,
     TrainConfig,
+    TrainingError,
     allreduce_mean,
     effective_batch_size,
     init_model,
     scale_lr,
     train_distributed,
 )
+from dressedq import ddp
 from dressedq.circuit import CircuitSpec, forward_eval_count
 from dressedq.data import batches, generate_synthetic, shard
 from dressedq.model import batch_gradient, sgd_step
@@ -203,3 +211,56 @@ def test_too_many_workers_rejected():
     config = TrainConfig(epochs=1, batch_size=1, base_lr=4e-4, workers=8, seed=1)
     with pytest.raises(ConfigurationError):
         train_distributed(model, ds, config)
+
+
+MARKER = 1234.5
+
+
+def _fail_on_marker(how):
+    """A batch_gradient that fails on a batch holding the marker sample,
+    by raising or by killing its process."""
+
+    def failing(replica, features, labels):
+        if np.any(features[:, 0] == MARKER):
+            if how == "exit":
+                os._exit(3)
+            raise RuntimeError("injected worker fault")
+        return batch_gradient(replica, features, labels)
+
+    return failing
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_pool_worker_failure_ends_in_training_error(monkeypatch, how):
+    ds, model = make_problem(n=8)
+    config = TrainConfig(epochs=2, batch_size=1, base_lr=4e-4, workers=2, seed=37)
+    # Mark worker 1's first sample: the fault happens at step 0 in worker 1.
+    first = shard(ds, 2, 1, 0, config.seed).indices[0]
+    ds.features[first, 0] = MARKER
+    # Pool workers fork after this and inherit the patched module global.
+    monkeypatch.setattr(ddp, "batch_gradient", _fail_on_marker(how))
+    with time_limit(30.0), pytest.raises(TrainingError) as info:
+        train_distributed(model, ds, config, parallel=True)
+    if how == "raise":
+        # Worker 0's step succeeded; the message names the worker that failed.
+        assert "worker 1 failed" in str(info.value)
+        assert "injected worker fault" in str(info.value)
+    else:
+        # A dead process breaks the whole pool: the first worker whose
+        # result is collected is named.
+        assert re.search(r"worker [01] failed", str(info.value))
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
