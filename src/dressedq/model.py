@@ -176,10 +176,21 @@ def forward(model: HybridModel, features: np.ndarray) -> np.ndarray:
     return model.post_weights @ qout + model.post_bias
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
+def _softmax_terms(
+    logits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted logits, their exponentials and the sums of those over the
+    last axis (kept as a length-1 axis): the terms of a softmax that cannot
+    overflow."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis: logits (C,) or a batch (B, C)."""
+    _, e, e_sum = _softmax_terms(np.asarray(logits, dtype=float))
+    return e / e_sum
 
 
 def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -187,8 +198,8 @@ def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
     logits = np.asarray(logits, dtype=float)
     if not (0 <= label < logits.shape[0]):
         raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    shifted = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
+    shifted, _, e_sum = _softmax_terms(logits)
+    return float(np.log(e_sum[0]) - shifted[label])
 
 
 def backward(
@@ -213,8 +224,9 @@ def backward(
         )
     if labels.size == 0:
         raise ConfigurationError("empty batch")
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        bad = labels[(labels < 0) | (labels >= model.num_classes)].ravel()[0]
+    in_range = (labels >= 0) & (labels < model.num_classes)  # False for NaN
+    if not in_range.all():
+        bad = labels[~in_range].ravel()[0]
         raise ValueError(f"label {bad} out of range for {model.num_classes} classes")
 
     feats = features.reshape(-1, model.feature_dim)
@@ -223,9 +235,7 @@ def backward(
     z, embed = _embed(model, feats)  # (B, q)
     jac_thetas, jac_embed, qout = param_shift_grad(model.spec, model.qparams, embed)
     logits = qout @ model.post_weights.T + model.post_bias  # (B, C)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    e_sum = e.sum(axis=1, keepdims=True)
+    shifted, e, e_sum = _softmax_terms(logits)
     losses = np.log(e_sum[:, 0]) - shifted[rows, labels]
 
     # Softmax minus one-hot, scaled by 1/B so every sum below is a batch mean.

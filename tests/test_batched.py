@@ -260,9 +260,11 @@ def test_batch_gradient_is_one_backward_one_shift_pass_one_forward(monkeypatch):
 def test_batch_gradient_rejects_bad_batches():
     net = init_model(CircuitSpec(2, 1), 3, 2, seed=1)
     features = np.zeros((4, 3))
-    for labels in ([0, 1, 2, 0], [0, -1, 1, 0]):
+    for labels in ([0, 1, 2, 0], [0, -1, 1, 0], [0, np.nan, 1, 0]):
         with pytest.raises(ValueError, match="out of range"):
             batch_gradient(net, features, np.array(labels))
+    with pytest.raises(ValueError, match="out of range"):
+        backward(net, features[0], np.nan)
     bad = [
         (np.zeros((4, 2)), np.zeros(4, dtype=int)),  # feature width
         (features, np.zeros(3, dtype=int)),  # label count

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import re
 import signal
@@ -244,6 +245,10 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the injected fault reaches pool workers only when they fork",
+)
 @pytest.mark.parametrize("how", ["raise", "exit"])
 def test_pool_worker_failure_ends_in_training_error(monkeypatch, how):
     ds, model = make_problem(n=8)

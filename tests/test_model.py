@@ -79,6 +79,8 @@ def test_cross_entropy_matches_naive():
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError):
         loss_cross_entropy(np.zeros(2), 2)
+    with pytest.raises(ValueError):
+        loss_cross_entropy(np.zeros(2), np.nan)
 
 
 def numeric_gradient(model, x, label, h=1e-5):
