@@ -20,7 +20,6 @@ from .ddp import (
 from .errors import ConfigurationError, DataFormatError, SyncError, TrainingError
 from .latency import BackendProfile, epoch_wall_seconds, feasibility_report, jobs_per_epoch
 from .model import (
-    Gradients,
     HybridModel,
     TrainConfig,
     backward,

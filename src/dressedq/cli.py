@@ -64,76 +64,53 @@ class RunRecord:
         ]
 
 
+# The list-valued flags a training sweep can vary.
+SWEEP_AXES = ("qubits", "epochs", "workers")
+
+
 def _run_point(
-    sweep: str,
-    train_set: Dataset,
-    val_set: Dataset,
-    qubits: int,
-    depth: int,
-    epochs: int,
-    workers: int,
-    batch: int,
-    lr: float,
-    lr_scaling: str,
-    seed: int,
+    args, train_set: Dataset, val_set: Dataset, qubits: int, epochs: int, workers: int
 ) -> RunRecord:
     """One full training run; failures become a marker row, not an abort."""
-    eff_lr = lr
+    eff_lr = args.lr
+
+    def record(seconds, train_acc, val_acc, status):
+        return RunRecord(
+            args.sweep, qubits, args.depth, epochs, workers, args.batch_size,
+            eff_lr, len(train_set), seconds, train_acc, val_acc, args.seed, status,
+        )
+
     try:
-        eff_lr = scale_lr(lr, workers, lr_scaling)
-        spec = CircuitSpec(qubits=qubits, depth=depth)
-        model = init_model(spec, train_set.feature_dim, train_set.num_classes, seed)
+        eff_lr = scale_lr(args.lr, workers, args.lr_scaling)
+        spec = CircuitSpec(qubits=qubits, depth=args.depth)
+        model = init_model(spec, train_set.feature_dim, train_set.num_classes, args.seed)
         config = TrainConfig(
-            epochs=epochs, batch_size=batch, base_lr=lr, momentum=0.9,
-            workers=workers, seed=seed, lr_scaling=lr_scaling,
+            epochs=epochs, batch_size=args.batch_size, base_lr=args.lr, momentum=0.9,
+            workers=workers, seed=args.seed, lr_scaling=args.lr_scaling,
         )
         _, metrics = train_distributed(model, train_set, config, val_set=val_set)
         seconds = sum(m.wall_seconds for m in metrics)
-        return RunRecord(
-            sweep, qubits, depth, epochs, workers, batch, eff_lr,
-            len(train_set), seconds, metrics[-1].train_accuracy,
-            metrics[-1].val_accuracy, seed, "ok",
-        )
+        return record(seconds, metrics[-1].train_accuracy, metrics[-1].val_accuracy, "ok")
     except Exception as exc:
-        print(f"[{sweep}] point failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return RunRecord(
-            sweep, qubits, depth, epochs, workers, batch, eff_lr,
-            len(train_set), 0.0, float("nan"), float("nan"), seed,
-            type(exc).__name__,
-        )
+        print(f"[{args.sweep}] point failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return record(0.0, float("nan"), float("nan"), type(exc).__name__)
 
 
-def sweep_qubits(q_list, train_set, val_set, args) -> list[RunRecord]:
-    return [
-        _run_point("qubits", train_set, val_set, q, args.depth, args.epochs[0],
-                   args.workers[0], args.batch_size, args.lr, args.lr_scaling,
-                   args.seed)
-        for q in q_list
-    ]
-
-
-def sweep_epochs(e_list, train_set, val_set, args) -> list[RunRecord]:
-    return [
-        _run_point("epochs", train_set, val_set, args.qubits[0], args.depth, e,
-                   args.workers[0], args.batch_size, args.lr, args.lr_scaling,
-                   args.seed)
-        for e in e_list
-    ]
-
-
-def sweep_workers(n_list, train_set, val_set, args) -> list[RunRecord]:
+def run_sweep(train_set, val_set, args) -> list[RunRecord]:
+    """One training run per value of the swept flag, args.sweep; the other
+    SWEEP_AXES flags stay at their first value."""
+    values = getattr(args, args.sweep)
     threads = os.cpu_count() or 1
-    if max(n_list) > threads:
+    if args.sweep == "workers" and max(values) > threads:
         print(
-            f"warning: requesting up to {max(n_list)} workers on a machine "
+            f"warning: requesting up to {max(values)} workers on a machine "
             f"with {threads} hardware threads; timings will not scale",
             file=sys.stderr,
         )
+    point = {axis: getattr(args, axis)[0] for axis in SWEEP_AXES if axis != args.sweep}
     return [
-        _run_point("workers", train_set, val_set, args.qubits[0], args.depth,
-                   args.epochs[0], n, args.batch_size, args.lr,
-                   args.lr_scaling, args.seed)
-        for n in n_list
+        _run_point(args, train_set, val_set, **point, **{args.sweep: value})
+        for value in values
     ]
 
 
@@ -184,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dressedq-bench",
         description="Benchmark sweeps for the dressed quantum classifier.",
     )
-    p.add_argument("--sweep", required=True,
-                   choices=["qubits", "epochs", "workers", "latency"])
+    p.add_argument("--sweep", required=True, choices=[*SWEEP_AXES, "latency"])
     p.add_argument("--qubits", type=_int_list, default=[4],
                    help="comma-separated qubit counts (sweep axis or fixed value)")
     p.add_argument("--depth", type=int, default=6)
@@ -243,13 +219,7 @@ def main(argv=None) -> str:
         rows = bench_latency(train_set, args)
         header = LATENCY_CSV_HEADER
     else:
-        if args.sweep == "qubits":
-            records = sweep_qubits(args.qubits, train_set, val_set, args)
-        elif args.sweep == "epochs":
-            records = sweep_epochs(args.epochs, train_set, val_set, args)
-        else:
-            records = sweep_workers(args.workers, train_set, val_set, args)
-        rows = [r.row() for r in records]
+        rows = [r.row() for r in run_sweep(train_set, val_set, args)]
         header = RUN_CSV_HEADER
 
     with open(out, "w", encoding="utf-8", newline="") as f:

@@ -18,17 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, QuantumParams, add_forward_evals, forward_eval_count
+from .circuit import CircuitSpec, add_forward_evals, forward_eval_count
 from .data import Dataset, batches, shard
 from .errors import ConfigurationError, SyncError, TrainingError
-from .model import (
-    Gradients,
-    HybridModel,
-    TrainConfig,
-    batch_gradient,
-    evaluate,
-    sgd_step,
-)
+from .model import HybridModel, TrainConfig, batch_gradient, evaluate, sgd_step
+
+REPLICA_CHECKS = ("off", "epoch", "step")
 
 
 @dataclass
@@ -58,60 +53,41 @@ def scale_lr(base_lr: float, num_workers: int, mode: str) -> float:
     raise ConfigurationError(f"unknown lr scaling mode {mode!r}")
 
 
-def _check_shapes(reference: Gradients, other: Gradients, worker_id: int) -> None:
-    for a, b in zip(reference.blocks(), other.blocks()):
-        if a.shape != b.shape:
-            raise SyncError(
-                f"gradient shape mismatch from worker {worker_id}: "
-                f"{b.shape} != {a.shape}"
-            )
-
-
-def allreduce_mean(per_worker_grads: list[Gradients]) -> Gradients:
-    """Elementwise mean over workers, reduced in a fixed pairwise tree.
+def allreduce_mean(per_worker_grads: list[np.ndarray]) -> np.ndarray:
+    """Elementwise mean of the workers' gradient vectors, reduced in a fixed
+    pairwise tree.
 
     The tree pairs ascending ids ((0,1),(2,3),...) and repeats on the
-    partial sums, so the result never depends on worker scheduling.
+    partial sums, so the result never depends on worker scheduling. A
+    vector whose shape differs from worker 0's raises SyncError naming its
+    worker.
     """
     if not per_worker_grads:
         raise ConfigurationError("allreduce needs at least one gradient set")
+    shape = per_worker_grads[0].shape
     for wid, g in enumerate(per_worker_grads[1:], start=1):
-        _check_shapes(per_worker_grads[0], g, wid)
-    level = [g.copy() for g in per_worker_grads]
+        if g.shape != shape:
+            raise SyncError(
+                f"gradient shape mismatch from worker {wid}: {g.shape} != {shape}"
+            )
+    level = per_worker_grads
     while len(level) > 1:
-        merged = []
-        for i in range(0, len(level) - 1, 2):
-            merged.append(level[i].add_(level[i + 1]))
+        merged = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
         if len(level) % 2 == 1:
             merged.append(level[-1])
         level = merged
-    return level[0].scale_(1.0 / len(per_worker_grads))
+    return level[0] * (1.0 / len(per_worker_grads))
 
 
-def _grad_task(payload) -> tuple[tuple, float, int]:
-    """Pool worker entry: rebuild the replica; return the batch-mean
-    gradient, the mean loss and the circuit runs made."""
+def _grad_task(payload) -> tuple[np.ndarray, float, int]:
+    """Pool worker entry: rebuild the replica from its dimensions and params;
+    return the batch-mean gradient vector, the mean loss and the circuit runs
+    made."""
     evals_before = forward_eval_count()
-    (q, d, dim, classes), blocks, feats, labels = payload
-    replica = HybridModel(
-        spec=CircuitSpec(qubits=q, depth=d),
-        feature_dim=dim,
-        num_classes=classes,
-        pre_weights=blocks[0],
-        pre_bias=blocks[1],
-        qparams=QuantumParams(blocks[2]),
-        post_weights=blocks[3],
-        post_bias=blocks[4],
-    )
+    (q, d, dim, classes), params, feats, labels = payload
+    replica = HybridModel(CircuitSpec(qubits=q, depth=d), dim, classes, params)
     grad, loss = batch_gradient(replica, feats, labels)
-    return tuple(grad.blocks()), loss, forward_eval_count() - evals_before
-
-
-def _model_payload(model: HybridModel):
-    return (
-        (model.spec.qubits, model.spec.depth, model.feature_dim, model.num_classes),
-        tuple(model.weight_blocks()),
-    )
+    return grad, loss, forward_eval_count() - evals_before
 
 
 def train_distributed(
@@ -129,6 +105,10 @@ def train_distributed(
     N. Epoch wall time covers the epoch loop only, not dataset or model
     construction. replica_check: "off", "epoch" or "step".
     """
+    if replica_check not in REPLICA_CHECKS:
+        raise ConfigurationError(
+            f"unknown replica_check {replica_check!r}; expected one of {REPLICA_CHECKS}"
+        )
     n_workers = config.workers
     if n_workers > len(train_set):
         raise ConfigurationError(
@@ -139,7 +119,7 @@ def train_distributed(
     eff_lr = scale_lr(config.base_lr, n_workers, config.lr_scaling)
 
     replicas = [model.copy() for _ in range(n_workers)]
-    velocities = [Gradients.zeros_like(model) for _ in range(n_workers)]
+    velocities = [np.zeros_like(model.params) for _ in range(n_workers)]
     metrics: list[EpochMetrics] = []
 
     pool = ProcessPoolExecutor(max_workers=n_workers) if parallel else None
@@ -190,11 +170,13 @@ def train_distributed(
 
 
 def _step_gradients(replicas, train_set, batch_lists, step, pool):
+    ref = replicas[0]
+    dims = (ref.spec.qubits, ref.spec.depth, ref.feature_dim, ref.num_classes)
     payloads = []
     for w, replica in enumerate(replicas):
         idx = batch_lists[w][step]
         payloads.append(
-            (*_model_payload(replica), train_set.features[idx], train_set.labels[idx])
+            (dims, replica.params, train_set.features[idx], train_set.labels[idx])
         )
     if pool is None:
         results = [_grad_task(p) for p in payloads]
@@ -209,14 +191,12 @@ def _step_gradients(replicas, train_set, batch_lists, step, pool):
         # Workers count their circuit runs in their own processes; the
         # in-process path above has already counted them here.
         add_forward_evals(sum(evals for _, _, evals in results))
-    grads = [Gradients(*(np.asarray(b) for b in blocks)) for blocks, _, _ in results]
+    grads = [grad for grad, _, _ in results]
     losses = [loss for _, loss, _ in results]
     return grads, losses
 
 
 def _assert_replicas_identical(replicas) -> None:
-    ref = replicas[0].weight_blocks()
     for w, replica in enumerate(replicas[1:], start=1):
-        for a, b in zip(ref, replica.weight_blocks()):
-            if not np.array_equal(a, b):
-                raise SyncError(f"replica {w} diverged from replica 0")
+        if not np.array_equal(replicas[0].params, replica.params):
+            raise SyncError(f"replica {w} diverged from replica 0")

@@ -24,6 +24,8 @@ class BackendProfile:
     def __post_init__(self):
         if self.mean_job_latency < 0 or self.queue_overhead < 0:
             raise ValueError("latencies must be nonnegative")
+        if self.job_cap is not None and self.job_cap < 0:
+            raise ValueError(f"job_cap must be nonnegative, got {self.job_cap}")
 
     @property
     def seconds_per_job(self) -> float:
@@ -66,6 +68,8 @@ def feasibility_report(
 ) -> FeasibilityReport:
     if budget_seconds <= 0:
         raise ValueError("budget must be positive")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     per_epoch = jobs_per_epoch(n_train, spec)
     total_jobs = epochs * per_epoch
     projected = epochs * epoch_wall_seconds(per_epoch, profile)

@@ -11,6 +11,7 @@ vectorized over the batch.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -22,95 +23,74 @@ from .errors import ConfigurationError, TrainingError
 CHECKPOINT_MAGIC = b"HYQN1"
 
 
+def _block_shapes(
+    spec: CircuitSpec, feature_dim: int, num_classes: int
+) -> tuple[tuple[int, ...], ...]:
+    """The parameter layout: the shapes of pre_weights, pre_bias, thetas,
+    post_weights and post_bias, in the order they sit in params and in a
+    checkpoint."""
+    q, d = spec.qubits, spec.depth
+    return ((q, feature_dim), (q,), (d, q), (num_classes, q), (num_classes,))
+
+
+def _param_count(spec: CircuitSpec, feature_dim: int, num_classes: int) -> int:
+    return sum(math.prod(shape) for shape in _block_shapes(spec, feature_dim, num_classes))
+
+
 @dataclass
 class HybridModel:
+    """A dressed circuit classifier whose weights are one float64 vector.
+
+    `params` is a contiguous float64 vector holding every trainable weight;
+    pre_weights (q, D), pre_bias (q,), qparams.thetas (d, q), post_weights
+    (C, q) and post_bias (C,) are views into it, so params is updated in
+    place and never rebound. Gradients and velocities are vectors of the
+    same layout.
+    """
+
     spec: CircuitSpec
     feature_dim: int
     num_classes: int
-    pre_weights: np.ndarray  # (q, D)
-    pre_bias: np.ndarray  # (q,)
-    qparams: QuantumParams  # thetas (d, q)
-    post_weights: np.ndarray  # (C, q)
-    post_bias: np.ndarray  # (C,)
+    params: np.ndarray
 
     def __post_init__(self):
-        q, d = self.spec.qubits, self.spec.depth
-        expected = {
-            "pre_weights": (q, self.feature_dim),
-            "pre_bias": (q,),
-            "post_weights": (self.num_classes, q),
-            "post_bias": (self.num_classes,),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ConfigurationError(f"{name} shape {arr.shape} != {shape}")
-        if self.qparams.thetas.shape != (d, q):
-            raise ConfigurationError(
-                f"thetas shape {self.qparams.thetas.shape} != ({d}, {q})"
+        size = _param_count(self.spec, self.feature_dim, self.num_classes)
+        params = self.params
+        if not (
+            isinstance(params, np.ndarray)
+            and params.dtype == np.float64
+            and params.shape == (size,)
+            and params.flags.c_contiguous
+        ):
+            got = (
+                f"{params.dtype} {params.shape}"
+                if isinstance(params, np.ndarray)
+                else type(params).__name__
             )
+            raise ConfigurationError(
+                f"params must be a contiguous float64 vector of length {size}, got {got}"
+            )
+        self.pre_weights, self.pre_bias, thetas, self.post_weights, self.post_bias = (
+            self.split(params)
+        )
+        self.qparams = QuantumParams(thetas)
+
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of a params-shaped vector as the five blocks, in checkpoint
+        order: pre_weights, pre_bias, thetas, post_weights, post_bias."""
+        views, start = [], 0
+        for shape in _block_shapes(self.spec, self.feature_dim, self.num_classes):
+            stop = start + math.prod(shape)
+            views.append(vec[start:stop].reshape(shape))
+            start = stop
+        return tuple(views)
 
     def copy(self) -> "HybridModel":
-        return HybridModel(
-            spec=self.spec,
-            feature_dim=self.feature_dim,
-            num_classes=self.num_classes,
-            pre_weights=self.pre_weights.copy(),
-            pre_bias=self.pre_bias.copy(),
-            qparams=self.qparams.copy(),
-            post_weights=self.post_weights.copy(),
-            post_bias=self.post_bias.copy(),
-        )
+        return HybridModel(self.spec, self.feature_dim, self.num_classes, self.params.copy())
 
     def weight_blocks(self) -> list[np.ndarray]:
-        """Trainable arrays in checkpoint order."""
-        return [
-            self.pre_weights,
-            self.pre_bias,
-            self.qparams.thetas,
-            self.post_weights,
-            self.post_bias,
-        ]
-
-
-@dataclass
-class Gradients:
-    """Gradients (or momentum buffers) matching the model's weight blocks."""
-
-    pre_weights: np.ndarray
-    pre_bias: np.ndarray
-    thetas: np.ndarray
-    post_weights: np.ndarray
-    post_bias: np.ndarray
-
-    def blocks(self) -> list[np.ndarray]:
-        return [
-            self.pre_weights,
-            self.pre_bias,
-            self.thetas,
-            self.post_weights,
-            self.post_bias,
-        ]
-
-    @staticmethod
-    def zeros_like(model: HybridModel) -> "Gradients":
-        return Gradients(*(np.zeros_like(b) for b in model.weight_blocks()))
-
-    def add_(self, other: "Gradients") -> "Gradients":
-        for a, b in zip(self.blocks(), other.blocks()):
-            a += b
-        return self
-
-    def scale_(self, factor: float) -> "Gradients":
-        for a in self.blocks():
-            a *= factor
-        return self
-
-    def copy(self) -> "Gradients":
-        return Gradients(*(b.copy() for b in self.blocks()))
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(b)) for b in self.blocks())
+        """Trainable arrays in checkpoint order, as views into params."""
+        return list(self.split(self.params))
 
 
 @dataclass
@@ -146,16 +126,15 @@ def init_model(
     q, d = spec.qubits, spec.depth
     pre_bound = 1.0 / np.sqrt(feature_dim)
     post_bound = 1.0 / np.sqrt(q)
-    return HybridModel(
-        spec=spec,
-        feature_dim=feature_dim,
-        num_classes=num_classes,
-        pre_weights=rng.uniform(-pre_bound, pre_bound, size=(q, feature_dim)),
-        pre_bias=rng.uniform(-pre_bound, pre_bound, size=q),
-        qparams=QuantumParams(rng.normal(0.0, 0.01, size=(d, q))),
-        post_weights=rng.uniform(-post_bound, post_bound, size=(num_classes, q)),
-        post_bias=rng.uniform(-post_bound, post_bound, size=num_classes),
-    )
+    blocks = [
+        rng.uniform(-pre_bound, pre_bound, size=(q, feature_dim)),
+        rng.uniform(-pre_bound, pre_bound, size=q),
+        rng.normal(0.0, 0.01, size=(d, q)),
+        rng.uniform(-post_bound, post_bound, size=(num_classes, q)),
+        rng.uniform(-post_bound, post_bound, size=num_classes),
+    ]
+    params = np.concatenate([block.ravel() for block in blocks])
+    return HybridModel(spec, feature_dim, num_classes, params)
 
 
 def _embed(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +183,13 @@ def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
 
 def backward(
     model: HybridModel, features: np.ndarray, label: int | np.ndarray
-) -> tuple[Gradients, float]:
-    """Loss and exact gradients for one labeled sample or a batch.
+) -> tuple[np.ndarray, float]:
+    """Exact gradient and loss for one labeled sample or a batch.
 
-    features (D,) with an int label gives that sample's gradients and loss;
-    features (B, D) with labels (B,) gives the batch-mean gradients and the
-    mean loss, from one param_shift_grad call over all B samples.
+    features (D,) with an int label gives that sample's gradient and loss;
+    features (B, D) with labels (B,) gives the batch-mean gradient and the
+    mean loss, from one param_shift_grad call over all B samples. The
+    gradient is a float64 vector laid out like model.params.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(label)
@@ -243,24 +223,24 @@ def backward(
     dlogits[rows, labels] -= 1.0
     dlogits /= len(labels)
 
-    g_post_w = dlogits.T @ qout
-    g_post_b = dlogits.sum(axis=0)
+    grad = np.empty_like(model.params)
+    g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b = model.split(grad)
+    g_post_w[...] = dlogits.T @ qout
+    g_post_b[...] = dlogits.sum(axis=0)
 
     dqout = dlogits @ model.post_weights  # (B, q)
-    g_thetas = np.einsum("bo,boli->li", dqout, jac_thetas)  # (d, q)
+    g_thetas[...] = np.einsum("bo,boli->li", dqout, jac_thetas)  # (d, q)
     dembed = np.einsum("bo,boj->bj", dqout, jac_embed)  # (B, q)
 
     dz = dembed * (np.pi / 2.0) * (1.0 - np.tanh(z) ** 2)
-    g_pre_w = dz.T @ feats
-    g_pre_b = dz.sum(axis=0)
-
-    grads = Gradients(g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b)
-    return grads, float(losses.sum() / len(labels))
+    g_pre_w[...] = dz.T @ feats
+    g_pre_b[...] = dz.sum(axis=0)
+    return grad, float(losses.sum() / len(labels))
 
 
 def batch_gradient(
     model: HybridModel, features: np.ndarray, labels: np.ndarray
-) -> tuple[Gradients, float]:
+) -> tuple[np.ndarray, float]:
     """Mean gradient and mean loss over a batch, features (B, D), labels (B,):
     one backward call."""
     return backward(model, features, labels)
@@ -268,20 +248,21 @@ def batch_gradient(
 
 def sgd_step(
     model: HybridModel,
-    grads: Gradients,
+    grad: np.ndarray,
     lr: float,
     momentum: float,
-    velocity: Gradients,
+    velocity: np.ndarray,
 ) -> None:
-    """In-place momentum SGD: v <- momentum*v + g; w <- w - lr*v."""
+    """In-place momentum SGD on whole vectors: v <- momentum*v + g;
+    params <- params - lr*v. grad and velocity are laid out like
+    model.params; a non-finite gradient raises TrainingError."""
     if lr <= 0:
         raise ConfigurationError("learning rate must be positive")
-    if not grads.is_finite():
+    if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; aborting training")
-    for w, g, v in zip(model.weight_blocks(), grads.blocks(), velocity.blocks()):
-        v *= momentum
-        v += g
-        w -= lr * v
+    velocity *= momentum
+    velocity += grad
+    model.params -= lr * velocity
 
 
 def evaluate(model: HybridModel, dataset) -> float:
@@ -298,7 +279,8 @@ def evaluate(model: HybridModel, dataset) -> float:
 
 
 def save_checkpoint(model: HybridModel, path: str) -> None:
-    """Binary checkpoint: magic "HYQN1", q/d/D/C int32 LE, then float64 LE blocks."""
+    """Binary checkpoint: magic "HYQN1", q/d/D/C int32 LE, then params as
+    float64 LE (the five blocks in order)."""
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(
@@ -310,8 +292,7 @@ def save_checkpoint(model: HybridModel, path: str) -> None:
                 model.num_classes,
             )
         )
-        for block in model.weight_blocks():
-            f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        f.write(model.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> HybridModel:
@@ -328,27 +309,13 @@ def load_checkpoint(path: str) -> HybridModel:
     spec = CircuitSpec(qubits=q, depth=d)
     if dim < 1 or classes < 1:
         raise ConfigurationError(f"checkpoint dimension below 1: D={dim}, C={classes}")
-    shapes = [(q, dim), (q,), (d, q), (classes, q), (classes,)]
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    expected = header_end + 8 * sum(sizes)
+    size = _param_count(spec, dim, classes)
+    expected = header_end + 8 * size
     if len(raw) < expected:
         raise ConfigurationError("truncated checkpoint")
     if len(raw) > expected:
         raise ConfigurationError(f"{len(raw) - expected} trailing bytes after checkpoint weights")
-    weights = np.frombuffer(raw, dtype="<f8", offset=header_end).astype(float)
-    if not np.all(np.isfinite(weights)):
+    params = np.frombuffer(raw, dtype="<f8", offset=header_end).astype(np.float64)
+    if not np.isfinite(params).all():
         raise ConfigurationError("non-finite checkpoint weight")
-    blocks = [
-        block.reshape(shape)
-        for block, shape in zip(np.split(weights, np.cumsum(sizes)[:-1]), shapes)
-    ]
-    return HybridModel(
-        spec=spec,
-        feature_dim=dim,
-        num_classes=classes,
-        pre_weights=blocks[0],
-        pre_bias=blocks[1],
-        qparams=QuantumParams(blocks[2]),
-        post_weights=blocks[3],
-        post_bias=blocks[4],
-    )
+    return HybridModel(spec, dim, classes, params)

@@ -30,7 +30,6 @@ from dressedq.circuit import (
 )
 from dressedq.data import batches, generate_synthetic, shard, train_val_split
 from dressedq.model import (
-    Gradients,
     batch_gradient,
     forward,
     loss_cross_entropy,
@@ -125,18 +124,17 @@ def test_criterion_2_gradient_exactness():
 
             grads, _ = backward(model, x, label)
             h = 1e-5
-            for block, gblock in zip(model.weight_blocks(), grads.blocks()):
-                flat, gflat = block.ravel(), gblock.ravel()
-                for k in range(flat.size):
-                    orig = flat[k]
-                    flat[k] = orig + h
-                    up = loss_cross_entropy(forward(model, x), label)
-                    flat[k] = orig - h
-                    down = loss_cross_entropy(forward(model, x), label)
-                    flat[k] = orig
-                    fd = (up - down) / (2 * h)
-                    rel = abs(gflat[k] - fd) / max(1.0, abs(gflat[k]))
-                    assert rel < 1e-5, f"trial {trial}, weight {k}: {rel}"
+            flat, gflat = model.params, grads
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + h
+                up = loss_cross_entropy(forward(model, x), label)
+                flat[k] = orig - h
+                down = loss_cross_entropy(forward(model, x), label)
+                flat[k] = orig
+                fd = (up - down) / (2 * h)
+                rel = abs(gflat[k] - fd) / max(1.0, abs(gflat[k]))
+                assert rel < 1e-5, f"trial {trial}, weight {k}: {rel}"
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 
@@ -270,7 +268,7 @@ def test_criterion_9_latency_feasibility():
         # Instrumented single-worker epoch over 244 samples.
         ds = generate_synthetic(244, 16, 2, margin=2.0, seed=31)
         model = init_model(spec, 16, 2, seed=31)
-        velocity = Gradients.zeros_like(model)
+        velocity = np.zeros_like(model.params)
         before = forward_eval_count()
         for idx in batches(shard(ds, 1, 0, 0, seed=31), 4):
             g, _ = batch_gradient(model, ds.features[idx], ds.labels[idx])

@@ -225,8 +225,8 @@ def test_batch_gradient_equals_mean_of_single_backwards(case):
     assert forward_eval_count() - before == b * circuit_evals_per_sample(net.spec)
     mean_loss = sum(l for _, l in singles) / b
     assert abs(loss - mean_loss) <= 1e-13 * abs(mean_loss)
-    for k, block in enumerate(grads.blocks()):
-        terms = np.stack([g.blocks()[k] for g, _ in singles])
+    for k, block in enumerate(net.split(grads)):
+        terms = np.stack([net.split(g)[k] for g, _ in singles])
         assert block.shape == terms.shape[1:]
         # Relative to the largest per-sample term: summands may cancel.
         scale = np.max(np.abs(terms), initial=0.0)

@@ -10,7 +10,6 @@ import pytest
 
 from dressedq import (
     ConfigurationError,
-    Gradients,
     SyncError,
     TrainConfig,
     TrainingError,
@@ -33,7 +32,7 @@ def make_problem(n=48, dim=6, classes=2, q=2, d=1, seed=3, margin=3.0):
 
 
 def random_grads(rng, model):
-    return Gradients(*(rng.normal(size=b.shape) for b in model.weight_blocks()))
+    return rng.normal(size=model.params.shape)
 
 
 @pytest.mark.parametrize("batch,n,expected", [(4, 8, 32), (4, 1, 4), (1, 1, 1)])
@@ -52,18 +51,15 @@ def test_scale_lr():
 def test_allreduce_opposite_gradients_cancel():
     _, model = make_problem()
     g = random_grads(np.random.default_rng(1), model)
-    neg = g.copy().scale_(-1.0)
-    mean = allreduce_mean([g, neg])
-    for block in mean.blocks():
-        assert np.allclose(block, 0.0, atol=0)
+    mean = allreduce_mean([g, -g])
+    assert np.allclose(mean, 0.0, atol=0)
 
 
 def test_allreduce_single_worker_identity():
     _, model = make_problem()
     g = random_grads(np.random.default_rng(2), model)
     mean = allreduce_mean([g])
-    for a, b in zip(mean.blocks(), g.blocks()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(mean, g)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 5, 8])
@@ -74,25 +70,20 @@ def test_allreduce_matches_tree_order_reference_bitwise(workers):
     result = allreduce_mean(grads)
 
     # Reference: the same pairwise tree written out longhand.
-    def tree_sum(blocks_list):
-        if len(blocks_list) == 1:
-            return blocks_list[0]
+    def tree_sum(vectors):
+        if len(vectors) == 1:
+            return vectors[0]
         nxt = []
-        for i in range(0, len(blocks_list) - 1, 2):
-            nxt.append(
-                [a + b for a, b in zip(blocks_list[i], blocks_list[i + 1])]
-            )
-        if len(blocks_list) % 2 == 1:
-            nxt.append(blocks_list[-1])
+        for i in range(0, len(vectors) - 1, 2):
+            nxt.append(vectors[i] + vectors[i + 1])
+        if len(vectors) % 2 == 1:
+            nxt.append(vectors[-1])
         return tree_sum(nxt)
 
-    ref = tree_sum([[b.copy() for b in g.blocks()] for g in grads])
-    for a, b in zip(result.blocks(), ref):
-        assert np.array_equal(a, b * (1.0 / workers))
+    ref = tree_sum([g.copy() for g in grads])
+    assert np.array_equal(result, ref * (1.0 / workers))
     # And it is a mean, up to reassociation.
-    flat = [np.mean([g.blocks()[k] for g in grads], axis=0) for k in range(5)]
-    for a, b in zip(result.blocks(), flat):
-        assert np.max(np.abs(a - b)) < 1e-15
+    assert np.max(np.abs(result - np.mean(grads, axis=0))) < 1e-15
 
 
 def test_allreduce_shape_mismatch_is_sync_fault():
@@ -100,7 +91,7 @@ def test_allreduce_shape_mismatch_is_sync_fault():
     rng = np.random.default_rng(4)
     g1 = random_grads(rng, model)
     g2 = random_grads(rng, model)
-    g2.pre_bias = np.zeros(7)
+    g2 = g2[:-1]
     with pytest.raises(SyncError):
         allreduce_mean([g1, g2])
 
@@ -111,7 +102,7 @@ def test_single_worker_matches_manual_loop_bitwise():
     trained, _ = train_distributed(model.copy(), ds, config)
 
     manual = model.copy()
-    velocity = Gradients.zeros_like(manual)
+    velocity = np.zeros_like(manual.params)
     for epoch in range(2):
         for idx in batches(shard(ds, 1, 0, epoch, 11), 4):
             g, _ = batch_gradient(manual, ds.features[idx], ds.labels[idx])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dressedq import (
@@ -10,7 +11,7 @@ from dressedq import (
 from dressedq.circuit import CircuitSpec, forward_eval_count
 from dressedq.data import batches, generate_synthetic, shard
 from dressedq.latency import format_report
-from dressedq.model import Gradients, batch_gradient, sgd_step
+from dressedq.model import batch_gradient, sgd_step
 
 PAPER_SPEC = CircuitSpec(qubits=4, depth=6)
 
@@ -34,7 +35,7 @@ def test_jobs_per_epoch_matches_instrumented_epoch():
     spec = CircuitSpec(qubits=2, depth=1)
     ds = generate_synthetic(n, 4, 2, margin=1.0, seed=3)
     model = init_model(spec, 4, 2, seed=3)
-    velocity = Gradients.zeros_like(model)
+    velocity = np.zeros_like(model.params)
     before = forward_eval_count()
     for idx in batches(shard(ds, 1, 0, 0, seed=3), 4):
         g, _ = batch_gradient(model, ds.features[idx], ds.labels[idx])
@@ -111,6 +112,22 @@ def test_validation_errors():
         BackendProfile(name="bad", mean_job_latency=-1.0)
     with pytest.raises(ValueError):
         feasibility_report(10, PAPER_SPEC, 1, BackendProfile("p", 1.0), 0.0)
+
+
+def test_negative_job_cap_rejected():
+    with pytest.raises(ValueError, match="job_cap"):
+        BackendProfile(name="bad", mean_job_latency=1.0, job_cap=-5)
+    # A cap of 0 accepts no jobs at all: every run fails in its first epoch.
+    report = feasibility_report(
+        10, PAPER_SPEC, 1, BackendProfile("p", 1.0, job_cap=0), 1e9
+    )
+    assert report.first_failure_epoch == 1 and not report.feasible
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_epochs_below_one_rejected(epochs):
+    with pytest.raises(ValueError, match="epochs"):
+        feasibility_report(10, PAPER_SPEC, epochs, BackendProfile("p", 1.0), 1e9)
 
 
 def test_format_report_mentions_key_numbers():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dressedq import (
-    Gradients,
     backward,
     evaluate,
     forward,
@@ -12,23 +11,16 @@ from dressedq import (
     save_checkpoint,
     sgd_step,
 )
-from dressedq.circuit import CircuitSpec, QuantumParams, quantum_forward
+from dressedq.circuit import CircuitSpec, quantum_forward
 from dressedq.data import Dataset
 from dressedq.errors import ConfigurationError, TrainingError
-from dressedq.model import HybridModel, softmax
+from dressedq.model import softmax
 
 
 def zero_model(q=3, d=2, dim=5, classes=2):
-    return HybridModel(
-        spec=CircuitSpec(qubits=q, depth=d),
-        feature_dim=dim,
-        num_classes=classes,
-        pre_weights=np.zeros((q, dim)),
-        pre_bias=np.zeros(q),
-        qparams=QuantumParams(np.zeros((d, q))),
-        post_weights=np.zeros((classes, q)),
-        post_bias=np.zeros(classes),
-    )
+    model = init_model(CircuitSpec(qubits=q, depth=d), dim, classes, seed=0)
+    model.params[:] = 0.0
+    return model
 
 
 def small_dataset(rng, n=12, dim=5, classes=2):
@@ -106,7 +98,7 @@ def test_backward_matches_finite_differences():
     grads, loss = backward(model, x, 1)
     assert loss == pytest.approx(loss_cross_entropy(forward(model, x), 1), abs=1e-12)
     numeric = numeric_gradient(model, x, 1)
-    for analytic, fd in zip(grads.blocks(), numeric):
+    for analytic, fd in zip(model.split(grads), numeric):
         rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
         assert np.max(rel) < 1e-5
 
@@ -114,10 +106,11 @@ def test_backward_matches_finite_differences():
 def test_backward_zero_model_post_bias_is_softmax_minus_onehot():
     model = zero_model()
     grads, _ = backward(model, np.ones(5), 1)
-    assert np.allclose(grads.post_bias, [0.5, -0.5], atol=1e-12)
+    pre_weights, _, thetas, _, post_bias = model.split(grads)
+    assert np.allclose(post_bias, [0.5, -0.5], atol=1e-12)
     # Everything upstream of the dead post-net gets zero gradient.
-    assert np.allclose(grads.pre_weights, 0.0)
-    assert np.allclose(grads.thetas, 0.0)
+    assert np.allclose(pre_weights, 0.0)
+    assert np.allclose(thetas, 0.0)
 
 
 def test_batch_mean_of_duplicated_sample_equals_single():
@@ -128,14 +121,13 @@ def test_batch_mean_of_duplicated_sample_equals_single():
     single, loss1 = backward(model, x, 0)
     batch, loss3 = batch_gradient(model, np.stack([x, x, x]), np.array([0, 0, 0]))
     assert loss3 == pytest.approx(loss1, abs=1e-12)
-    for a, b in zip(single.blocks(), batch.blocks()):
-        assert np.allclose(a, b, atol=1e-14)
+    assert np.allclose(single, batch, atol=1e-14)
 
 
 def test_sgd_step_plain():
     model = zero_model(q=2, d=1, dim=2, classes=2)
-    grads = Gradients(*(np.ones_like(b) for b in model.weight_blocks()))
-    vel = Gradients.zeros_like(model)
+    grads = np.ones_like(model.params)
+    vel = np.zeros_like(model.params)
     sgd_step(model, grads, lr=1.0, momentum=0.0, velocity=vel)
     for block in model.weight_blocks():
         assert np.allclose(block, -1.0)
@@ -143,8 +135,8 @@ def test_sgd_step_plain():
 
 def test_sgd_step_momentum_two_steps():
     model = zero_model(q=2, d=1, dim=2, classes=2)
-    grads = Gradients(*(np.ones_like(b) for b in model.weight_blocks()))
-    vel = Gradients.zeros_like(model)
+    grads = np.ones_like(model.params)
+    vel = np.zeros_like(model.params)
     sgd_step(model, grads, lr=0.1, momentum=0.9, velocity=vel)
     sgd_step(model, grads, lr=0.1, momentum=0.9, velocity=vel)
     for block in model.weight_blocks():
@@ -154,17 +146,17 @@ def test_sgd_step_momentum_two_steps():
 def test_sgd_step_zero_gradient_is_noop():
     model = init_model(CircuitSpec(qubits=2, depth=1), 3, 2, seed=5)
     before = [b.copy() for b in model.weight_blocks()]
-    sgd_step(model, Gradients.zeros_like(model), 0.1, 0.9, Gradients.zeros_like(model))
+    sgd_step(model, np.zeros_like(model.params), 0.1, 0.9, np.zeros_like(model.params))
     for a, b in zip(before, model.weight_blocks()):
         assert np.array_equal(a, b)
 
 
 def test_sgd_step_rejects_non_finite_gradient():
     model = zero_model(q=2, d=1, dim=2, classes=2)
-    grads = Gradients.zeros_like(model)
-    grads.pre_bias[0] = np.nan
+    grads = np.zeros_like(model.params)
+    model.split(grads)[1][0] = np.nan  # pre_bias
     with pytest.raises(TrainingError):
-        sgd_step(model, grads, 0.1, 0.9, Gradients.zeros_like(model))
+        sgd_step(model, grads, 0.1, 0.9, np.zeros_like(model.params))
 
 
 def test_evaluate_constant_predictor():
