@@ -70,9 +70,6 @@ class QuantumParams:
 
     thetas: np.ndarray  # shape (depth, qubits)
 
-    def copy(self) -> "QuantumParams":
-        return QuantumParams(self.thetas.copy())
-
 
 def _check_args(spec: CircuitSpec, params: QuantumParams, embed_angles: np.ndarray):
     q, d = spec.qubits, spec.depth

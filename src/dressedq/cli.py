@@ -153,7 +153,18 @@ def bench_latency(train_set, args) -> list[list]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    values = [int(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError("expected one or more comma-separated integers")
+    return values
+
+
+def _synthetic(text: str) -> tuple[int, int, int, float]:
+    try:
+        n, dim, classes, margin = text.split(",")
+        return int(n), int(dim), int(classes), float(margin)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected n,D,C,margin, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-scaling", choices=["linear", "none"], default="linear")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--dataset", help="CSV dataset path")
-    group.add_argument("--synthetic", default="245,512,2,3",
+    group.add_argument("--synthetic", type=_synthetic, default="245,512,2,3",
                        help="n,D,C,margin for a generated dataset")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", help="output CSV path (default: <sweep>-<timestamp>.csv)")
@@ -193,11 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_dataset(args) -> Dataset:
     if args.dataset:
         return load_csv(args.dataset)
-    fields = args.synthetic.split(",")
-    if len(fields) != 4:
-        raise SystemExit("--synthetic expects n,D,C,margin")
-    n, dim, classes = int(fields[0]), int(fields[1]), int(fields[2])
-    return generate_synthetic(n, dim, classes, float(fields[3]), args.seed)
+    return generate_synthetic(*args.synthetic, args.seed)
 
 
 def main(argv=None) -> str:

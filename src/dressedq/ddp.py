@@ -1,9 +1,12 @@
 """Data-parallel training: lockstep workers, deterministic tree allreduce.
 
-Per step, every worker computes the mean gradient over its own batch, the
-gradients are averaged in a fixed pairwise tree over ascending worker ids,
-and every replica applies the identical update. Equal shard sizes mean
-equal batch counts, so workers stay in lockstep by construction.
+Training holds one canonical model and one velocity buffer. Per step, every
+worker computes the mean gradient over its own batch with the canonical
+weights, the gradients are averaged in a fixed pairwise tree over ascending
+worker ids, and one update is applied. Equal shard sizes mean equal batch
+counts, so workers stay in lockstep by construction. Each worker returns a
+CRC-32 of the weights it used, which replica_check compares with the
+canonical weights' CRC-32.
 
 Workers run in separate processes (a process pool) because CPython's GIL
 would serialize the per-sample circuit work if they were threads. The
@@ -13,6 +16,7 @@ produces bit-identical results.
 from __future__ import annotations
 
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -79,15 +83,15 @@ def allreduce_mean(per_worker_grads: list[np.ndarray]) -> np.ndarray:
     return level[0] * (1.0 / len(per_worker_grads))
 
 
-def _grad_task(payload) -> tuple[np.ndarray, float, int]:
+def _grad_task(payload) -> tuple[np.ndarray, float, int, int]:
     """Pool worker entry: rebuild the replica from its dimensions and params;
-    return the batch-mean gradient vector, the mean loss and the circuit runs
-    made."""
+    return the batch-mean gradient vector, the mean loss, the circuit runs
+    made and the CRC-32 of the weights the gradient was computed with."""
     evals_before = forward_eval_count()
     (q, d, dim, classes), params, feats, labels = payload
     replica = HybridModel(CircuitSpec(qubits=q, depth=d), dim, classes, params)
     grad, loss = batch_gradient(replica, feats, labels)
-    return grad, loss, forward_eval_count() - evals_before
+    return grad, loss, forward_eval_count() - evals_before, zlib.crc32(replica.params)
 
 
 def train_distributed(
@@ -98,12 +102,16 @@ def train_distributed(
     parallel: bool | None = None,
     replica_check: str = "epoch",
 ) -> tuple[HybridModel, list[EpochMetrics]]:
-    """Train N lockstep replicas of `model`; returns replica 0 and metrics.
+    """Train a copy of `model` on N lockstep workers; returns the trained
+    copy and metrics. The caller's model is not modified.
 
     Metrics (loss over worker 0's shard, accuracy over the full train and
     validation sets) are recorded once per epoch, so they do not depend on
     N. Epoch wall time covers the epoch loop only, not dataset or model
-    construction. replica_check: "off", "epoch" or "step".
+    construction. replica_check compares the digest of the weights every
+    worker computed with against the canonical weights' digest, and raises
+    SyncError naming the first worker that differs: "step" checks every
+    step, "epoch" each epoch's last step, "off" never.
     """
     if replica_check not in REPLICA_CHECKS:
         raise ConfigurationError(
@@ -118,17 +126,15 @@ def train_distributed(
         parallel = n_workers > 1
     eff_lr = scale_lr(config.base_lr, n_workers, config.lr_scaling)
 
-    replicas = [model.copy() for _ in range(n_workers)]
-    velocities = [np.zeros_like(model.params) for _ in range(n_workers)]
+    model = model.copy()
+    velocity = np.zeros_like(model.params)
     metrics: list[EpochMetrics] = []
 
     pool = ProcessPoolExecutor(max_workers=n_workers) if parallel else None
     try:
         for epoch in range(config.epochs):
             t0 = time.monotonic()
-            lr = eff_lr
-            if config.lr_step_decay:
-                lr = eff_lr * (0.1 ** (epoch // 10))
+            lr = eff_lr * (0.1 ** (epoch // 10)) if config.lr_step_decay else eff_lr
 
             shards = [
                 shard(train_set, n_workers, w, epoch, config.seed)
@@ -137,23 +143,21 @@ def train_distributed(
             batch_lists = [batches(s, config.batch_size) for s in shards]
             steps = len(batch_lists[0])
             worker0_losses = []
+            first_checked = {"off": steps, "epoch": steps - 1, "step": 0}[replica_check]
 
             for step in range(steps):
-                grads, losses = _step_gradients(
-                    replicas, train_set, batch_lists, step, pool
+                # Taken before dispatch: an in-process worker shares the array.
+                expected = zlib.crc32(model.params) if step >= first_checked else None
+                grads, losses, digests = _step_gradients(
+                    model, train_set, batch_lists, step, pool
                 )
-                reduced = allreduce_mean(grads)
-                for replica, vel in zip(replicas, velocities):
-                    sgd_step(replica, reduced, lr, config.momentum, vel)
+                if expected is not None:
+                    _assert_replicas_identical(expected, digests)
+                sgd_step(model, allreduce_mean(grads), lr, config.momentum, velocity)
                 worker0_losses.append(losses[0])
-                if replica_check == "step":
-                    _assert_replicas_identical(replicas)
 
-            if replica_check in ("epoch", "step"):
-                _assert_replicas_identical(replicas)
-
-            train_acc = evaluate(replicas[0], train_set)
-            val_acc = evaluate(replicas[0], val_set) if val_set is not None else train_acc
+            train_acc = evaluate(model, train_set)
+            val_acc = evaluate(model, val_set) if val_set is not None else train_acc
             metrics.append(
                 EpochMetrics(
                     epoch=epoch,
@@ -166,18 +170,15 @@ def train_distributed(
     finally:
         if pool is not None:
             pool.shutdown()
-    return replicas[0], metrics
+    return model, metrics
 
 
-def _step_gradients(replicas, train_set, batch_lists, step, pool):
-    ref = replicas[0]
-    dims = (ref.spec.qubits, ref.spec.depth, ref.feature_dim, ref.num_classes)
-    payloads = []
-    for w, replica in enumerate(replicas):
-        idx = batch_lists[w][step]
-        payloads.append(
-            (dims, replica.params, train_set.features[idx], train_set.labels[idx])
-        )
+def _step_gradients(model, train_set, batch_lists, step, pool):
+    dims = (model.spec.qubits, model.spec.depth, model.feature_dim, model.num_classes)
+    payloads = [
+        (dims, model.params, train_set.features[b[step]], train_set.labels[b[step]])
+        for b in batch_lists
+    ]
     if pool is None:
         results = [_grad_task(p) for p in payloads]
     else:
@@ -190,13 +191,12 @@ def _step_gradients(replicas, train_set, batch_lists, step, pool):
                 raise TrainingError(f"worker {w} failed: {exc}") from exc
         # Workers count their circuit runs in their own processes; the
         # in-process path above has already counted them here.
-        add_forward_evals(sum(evals for _, _, evals in results))
-    grads = [grad for grad, _, _ in results]
-    losses = [loss for _, loss, _ in results]
-    return grads, losses
+        add_forward_evals(sum(evals for _, _, evals, _ in results))
+    grads, losses, _, digests = map(list, zip(*results))
+    return grads, losses, digests
 
 
-def _assert_replicas_identical(replicas) -> None:
-    for w, replica in enumerate(replicas[1:], start=1):
-        if not np.array_equal(replicas[0].params, replica.params):
-            raise SyncError(f"replica {w} diverged from replica 0")
+def _assert_replicas_identical(expected: int, digests: list[int]) -> None:
+    for w, digest in enumerate(digests):
+        if digest != expected:
+            raise SyncError(f"worker {w} computed with weights other than the model's")

@@ -35,9 +35,6 @@ class StateVector:
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
 
 def new_zero_state(num_qubits: int, rows: int | None = None) -> StateVector:
     """|0...0> as one row of shape (2^q,), or as `rows` rows of shape (rows, 2^q)."""

@@ -93,7 +93,8 @@ def central_difference_jacobians(spec, params, embed, h=1e-5):
     jac_t = np.empty((q, d, q))
     for layer in range(d):
         for i in range(q):
-            plus, minus = params.copy(), params.copy()
+            plus = QuantumParams(params.thetas.copy())
+            minus = QuantumParams(params.thetas.copy())
             plus.thetas[layer, i] += h
             minus.thetas[layer, i] -= h
             jac_t[:, layer, i] = (

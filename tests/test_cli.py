@@ -19,6 +19,25 @@ def run_cli(tmp_path, name, *flags):
 TINY = ["--synthetic", "40,8,2,3", "--epochs", "2", "--depth", "1", "--seed", "7"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, sweep",
+    [
+        ("--workers", "", "workers"),
+        ("--epochs", "", "qubits"),
+        ("--qubits", ",", "qubits"),
+        ("--synthetic", "x,8,2,3", "qubits"),
+        ("--synthetic", "40,8,2", "qubits"),
+    ],
+)
+def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, sweep):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(out), "--sweep", sweep, flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qubit_sweep_one_row(tmp_path):
     rows = run_cli(tmp_path, "q.csv", "--sweep", "qubits", "--qubits", "3", *TINY)
     assert rows[0] == RUN_CSV_HEADER

@@ -198,6 +198,35 @@ def test_lr_step_decay_changes_trajectory():
     assert max(diffs) > 0  # decay kicked in after epoch 10
 
 
+def test_one_update_per_step_and_caller_model_unchanged(monkeypatch):
+    ds, model = make_problem(n=8)
+    config = TrainConfig(epochs=1, batch_size=1, base_lr=4e-4, workers=2, seed=41)
+    before = model.params.copy()
+    calls = []
+
+    def counting_sgd_step(*args):
+        calls.append(args)
+        return sgd_step(*args)
+
+    monkeypatch.setattr(ddp, "sgd_step", counting_sgd_step)
+    train_distributed(model, ds, config, parallel=False)
+    # 8 samples over 2 workers at batch 1: 4 optimizer steps.
+    assert len(calls) == 4
+    assert np.array_equal(model.params, before)
+
+
+@pytest.mark.parametrize("mode, checks_per_epoch", [("off", 0), ("epoch", 1), ("step", 4)])
+def test_replica_check_schedule(monkeypatch, mode, checks_per_epoch):
+    ds, model = make_problem(n=8)
+    config = TrainConfig(epochs=2, batch_size=1, base_lr=4e-4, workers=2, seed=41)
+    checked = []
+    monkeypatch.setattr(ddp, "_assert_replicas_identical", lambda *a: checked.append(a))
+    train_distributed(model, ds, config, parallel=False, replica_check=mode)
+    assert len(checked) == 2 * checks_per_epoch
+    for expected, digests in checked:
+        assert digests == [expected, expected]
+
+
 def test_too_many_workers_rejected():
     ds, model = make_problem(n=4)
     config = TrainConfig(epochs=1, batch_size=1, base_lr=4e-4, workers=8, seed=1)
@@ -236,10 +265,13 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.skipif(
+FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="the injected fault reaches pool workers only when they fork",
 )
+
+
+@FORK_ONLY
 @pytest.mark.parametrize("how", ["raise", "exit"])
 def test_pool_worker_failure_ends_in_training_error(monkeypatch, how):
     ds, model = make_problem(n=8)
@@ -260,3 +292,22 @@ def test_pool_worker_failure_ends_in_training_error(monkeypatch, how):
         # result is collected is named.
         assert re.search(r"worker [01] failed", str(info.value))
         assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+
+def _alter_weights_on_marker(replica, features, labels):
+    """A batch_gradient that changes the weights it computes with on a batch
+    holding the marker sample."""
+    if np.any(features[:, 0] == MARKER):
+        replica.params[0] += 1.0
+    return batch_gradient(replica, features, labels)
+
+
+@pytest.mark.parametrize("parallel", [False, pytest.param(True, marks=FORK_ONLY)])
+def test_worker_with_altered_weights_ends_in_sync_error(monkeypatch, parallel):
+    ds, model = make_problem(n=8)
+    config = TrainConfig(epochs=2, batch_size=1, base_lr=4e-4, workers=2, seed=37)
+    first = shard(ds, 2, 1, 0, config.seed).indices[0]
+    ds.features[first, 0] = MARKER
+    monkeypatch.setattr(ddp, "batch_gradient", _alter_weights_on_marker)
+    with time_limit(30.0), pytest.raises(SyncError, match=r"^worker 1 "):
+        train_distributed(model, ds, config, parallel=parallel, replica_check="step")

@@ -10,6 +10,7 @@ from dressedq import (
     expect_z_all,
     new_zero_state,
 )
+from dressedq.qsim import StateVector
 
 from oracle import apply_gates_sim, random_gates, run_circuit_dense
 
@@ -174,9 +175,9 @@ def test_ry_angles_add():
     rng = np.random.default_rng(29)
     base = apply_gates_sim(new_zero_state(2), random_gates(rng, 2, 10))
     a, b = 0.7, -1.9
-    split = base.copy()
+    split = StateVector(2, base.amplitudes.copy())
     apply_ry(split, 1, a)
     apply_ry(split, 1, b)
-    combined = base.copy()
+    combined = StateVector(2, base.amplitudes.copy())
     apply_ry(combined, 1, a + b)
     assert np.max(np.abs(split.amplitudes - combined.amplitudes)) < 1e-12
