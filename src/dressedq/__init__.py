@@ -4,12 +4,11 @@ latency feasibility analysis."""
 
 from .circuit import (
     CircuitSpec,
-    QuantumParams,
     circuit_evals_per_sample,
     param_shift_grad,
     quantum_forward,
 )
-from .data import Dataset, Shard, batches, generate_synthetic, load_csv, shard, write_csv
+from .data import Dataset, batches, generate_synthetic, load_csv, shard, write_csv
 from .ddp import (
     EpochMetrics,
     allreduce_mean,

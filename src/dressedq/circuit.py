@@ -60,56 +60,45 @@ class CircuitSpec:
             raise ConfigurationError(f"depth={self.depth} outside 0..{MAX_DEPTH}")
 
 
-@dataclass
-class QuantumParams:
-    """Trainable rotation angles, one per (layer, wire).
-
-    A batched quantum_forward call also accepts one angle set per circuit,
-    shape (K, depth, qubits).
-    """
-
-    thetas: np.ndarray  # shape (depth, qubits)
-
-
-def _check_args(spec: CircuitSpec, params: QuantumParams, embed_angles: np.ndarray):
+def _check_args(spec: CircuitSpec, thetas: np.ndarray, embed_angles: np.ndarray):
     q, d = spec.qubits, spec.depth
     if embed_angles.ndim not in (1, 2) or embed_angles.shape[-1] != q:
         raise ConfigurationError(
             f"embed_angles shape {embed_angles.shape} != ({q},) or (K, {q})"
         )
-    if params.thetas.shape not in ((d, q), (*embed_angles.shape[:-1], d, q)):
+    if thetas.shape not in ((d, q), (*embed_angles.shape[:-1], d, q)):
         raise ConfigurationError(
-            f"thetas shape {params.thetas.shape} != ({d}, {q}) or (K, {d}, {q})"
+            f"thetas shape {thetas.shape} != ({d}, {q}) or (K, {d}, {q})"
         )
-    if not (np.all(np.isfinite(params.thetas)) and np.all(np.isfinite(embed_angles))):
+    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(embed_angles))):
         raise ValueError("non-finite circuit angle")
 
 
 def quantum_forward(
-    spec: CircuitSpec, params: QuantumParams, embed_angles: np.ndarray
+    spec: CircuitSpec, thetas: np.ndarray, embed_angles: np.ndarray
 ) -> np.ndarray:
     """Run the circuit; returns the per-wire Z expectations.
 
-    embed_angles of shape (q,) runs one circuit and returns shape (q,). A
-    batch of shape (K, q) runs K circuits as the rows of one state and
-    returns (K, q); thetas are then shared, shape (depth, q), or one set per
-    row, shape (K, depth, q). Each row's result equals the single-circuit
-    call's exactly. Counts K circuit evaluations.
+    thetas holds the trainable angles, one per (layer, wire), shape
+    (depth, q). embed_angles of shape (q,) runs one circuit and returns
+    shape (q,). A batch of shape (K, q) runs K circuits as the rows of one
+    state and returns (K, q); thetas are then shared, shape (depth, q), or
+    one set per row, shape (K, depth, q). Each row's result equals the
+    single-circuit call's exactly. Counts K circuit evaluations.
     """
     global _forward_evals
     embed_angles = np.asarray(embed_angles, dtype=float)
-    _check_args(spec, params, embed_angles)
+    _check_args(spec, thetas, embed_angles)
     embeds = embed_angles.reshape(-1, spec.qubits)
     k = len(embeds)
-    shared = params.thetas.ndim == 2
+    shared = thetas.ndim == 2
     _forward_evals += k
 
     out = np.empty((k, spec.qubits))
     chunk = max(1, BATCH_AMPLITUDES >> spec.qubits)
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
-        thetas = params.thetas if shared else params.thetas[rows]
-        out[rows] = _run_rows(spec, thetas, embeds[rows])
+        out[rows] = _run_rows(spec, thetas if shared else thetas[rows], embeds[rows])
     return out[0] if embed_angles.ndim == 1 else out
 
 
@@ -135,11 +124,12 @@ def _run_rows(spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray) -> np.n
 
 
 def param_shift_grad(
-    spec: CircuitSpec, params: QuantumParams, embed_angles: np.ndarray
+    spec: CircuitSpec, thetas: np.ndarray, embed_angles: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Jacobians of every output w.r.t. every angle.
 
-    Returns (jac_thetas, jac_embed, value) where, for embed_angles (q,),
+    Returns (jac_thetas, jac_embed, value) where, for thetas (depth, q) and
+    embed_angles (q,),
       jac_thetas[o, l, i] = d out[o] / d thetas[l, i]   shape (q, depth, q)
       jac_embed[o, j]     = d out[o] / d embed[j]       shape (q, q)
       value               = quantum_forward at the unshifted point.
@@ -151,14 +141,14 @@ def param_shift_grad(
     embed_angles = np.asarray(embed_angles, dtype=float)
     q, d = spec.qubits, spec.depth
     if (
-        params.thetas.shape != (d, q)
+        thetas.shape != (d, q)
         or embed_angles.ndim not in (1, 2)
         or embed_angles.shape[-1] != q
         or embed_angles.size == 0
     ):
         raise ConfigurationError(
             f"param_shift_grad takes thetas ({d}, {q}) and embed_angles ({q},) "
-            f"or (B, {q}) with B >= 1, got {params.thetas.shape} and {embed_angles.shape}"
+            f"or (B, {q}) with B >= 1, got {thetas.shape} and {embed_angles.shape}"
         )
     # Per sample, row 0 is the unshifted point; rows 2p+1 and 2p+2 shift
     # angle p (thetas in row-major order, then the embedding angles) by +pi/2
@@ -167,16 +157,14 @@ def param_shift_grad(
     b, n = len(embeds), d * q + q
     k = 1 + 2 * n
     angles = np.empty((b, k, n))
-    angles[:, :, : d * q] = params.thetas.ravel()
+    angles[:, :, : d * q] = thetas.ravel()
     angles[:, :, d * q :] = embeds[:, None, :]
     p = np.arange(n)
     angles[:, 2 * p + 1, p] += np.pi / 2.0
     angles[:, 2 * p + 2, p] -= np.pi / 2.0
-    out = quantum_forward(
-        spec,
-        QuantumParams(angles[:, :, : d * q].reshape(b * k, d, q)),
-        angles[:, :, d * q :].reshape(b * k, q),
-    ).reshape(b, k, q)
+    thetas_rows = angles[:, :, : d * q].reshape(b * k, d, q)
+    embed_rows = angles[:, :, d * q :].reshape(b * k, q)
+    out = quantum_forward(spec, thetas_rows, embed_rows).reshape(b, k, q)
     diffs = (out[:, 1::2] - out[:, 2::2]) / 2.0  # [b, p]: d out / d angle p
     jac_thetas = diffs[:, : d * q].transpose(0, 2, 1).reshape(b, q, d, q)
     jac_embed = diffs[:, d * q :].transpose(0, 2, 1)

@@ -16,10 +16,9 @@ import csv
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .circuit import CircuitSpec
-from .data import Dataset, generate_synthetic, load_csv, train_val_split
+from .data import Dataset, check_synthetic_sizes, generate_synthetic, load_csv, train_val_split
 from .ddp import scale_lr, train_distributed
 from .latency import BackendProfile, feasibility_report, format_report
 from .model import TrainConfig, init_model
@@ -40,45 +39,23 @@ LATENCY_CSV_HEADER = [
 ]
 
 
-@dataclass
-class RunRecord:
-    sweep: str
-    qubits: int
-    depth: int
-    epochs: int
-    workers: int
-    batch: int
-    eff_lr: float
-    n: int
-    seconds: float
-    train_acc: float
-    val_acc: float
-    seed: int
-    status: str
-
-    def row(self) -> list:
-        return [
-            self.sweep, self.qubits, self.depth, self.epochs, self.workers,
-            self.batch, repr(self.eff_lr), self.n, f"{self.seconds:.6f}",
-            repr(self.train_acc), repr(self.val_acc), self.seed, self.status,
-        ]
-
-
 # The list-valued flags a training sweep can vary.
 SWEEP_AXES = ("qubits", "epochs", "workers")
 
 
 def _run_point(
     args, train_set: Dataset, val_set: Dataset, qubits: int, epochs: int, workers: int
-) -> RunRecord:
-    """One full training run; failures become a marker row, not an abort."""
+) -> list:
+    """One full training run as a RUN_CSV_HEADER row; failures become a
+    marker row, not an abort."""
     eff_lr = args.lr
 
     def record(seconds, train_acc, val_acc, status):
-        return RunRecord(
+        return [
             args.sweep, qubits, args.depth, epochs, workers, args.batch_size,
-            eff_lr, len(train_set), seconds, train_acc, val_acc, args.seed, status,
-        )
+            repr(eff_lr), len(train_set), f"{seconds:.6f}", repr(train_acc),
+            repr(val_acc), args.seed, status,
+        ]
 
     try:
         eff_lr = scale_lr(args.lr, workers, args.lr_scaling)
@@ -96,9 +73,9 @@ def _run_point(
         return record(0.0, float("nan"), float("nan"), type(exc).__name__)
 
 
-def run_sweep(train_set, val_set, args) -> list[RunRecord]:
-    """One training run per value of the swept flag, args.sweep; the other
-    SWEEP_AXES flags stay at their first value."""
+def run_sweep(train_set, val_set, args) -> list[list]:
+    """One training run, as a RUN_CSV_HEADER row, per value of the swept
+    flag, args.sweep; the other SWEEP_AXES flags stay at their first value."""
     values = getattr(args, args.sweep)
     threads = os.cpu_count() or 1
     if args.sweep == "workers" and max(values) > threads:
@@ -162,9 +139,14 @@ def _int_list(text: str) -> list[int]:
 def _synthetic(text: str) -> tuple[int, int, int, float]:
     try:
         n, dim, classes, margin = text.split(",")
-        return int(n), int(dim), int(classes), float(margin)
+        sizes = int(n), int(dim), int(classes), float(margin)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected n,D,C,margin, got {text!r}") from None
+    try:
+        check_synthetic_sizes(*sizes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +208,7 @@ def main(argv=None) -> str:
         rows = bench_latency(train_set, args)
         header = LATENCY_CSV_HEADER
     else:
-        rows = [r.row() for r in run_sweep(train_set, val_set, args)]
+        rows = run_sweep(train_set, val_set, args)
         header = RUN_CSV_HEADER
 
     with open(out, "w", encoding="utf-8", newline="") as f:

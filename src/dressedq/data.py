@@ -47,14 +47,6 @@ class Dataset:
         )
 
 
-@dataclass
-class Shard:
-    worker_id: int
-    num_workers: int
-    epoch: int
-    indices: np.ndarray
-
-
 def generate_synthetic(
     n: int, feature_dim: int, num_classes: int, margin: float, seed: int
 ) -> Dataset:
@@ -66,13 +58,7 @@ def generate_synthetic(
     (2*margin for C=2). Class counts differ by at most one; margin=0
     collapses all classes onto one isotropic Gaussian (chance-level task).
     """
-    if n < num_classes or feature_dim < 1 or num_classes < 1 or margin < 0:
-        raise ValueError(
-            f"invalid synthetic sizes: n={n}, D={feature_dim}, "
-            f"C={num_classes}, margin={margin}"
-        )
-    if feature_dim < num_classes:
-        raise ValueError("feature_dim must be >= num_classes")
+    check_synthetic_sizes(n, feature_dim, num_classes, margin)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     directions = _simplex_directions(rng, num_classes, feature_dim)
     centers = margin * directions
@@ -87,6 +73,17 @@ def generate_synthetic(
         labels[row : row + count] = c
         row += count
     return Dataset(features, labels, num_classes, feature_dim)
+
+
+def check_synthetic_sizes(n: int, feature_dim: int, num_classes: int, margin: float) -> None:
+    """Raise ValueError unless generate_synthetic accepts these sizes."""
+    if n < num_classes or feature_dim < 1 or num_classes < 1 or not 0 <= margin < np.inf:
+        raise ValueError(
+            f"invalid synthetic sizes: n={n}, D={feature_dim}, "
+            f"C={num_classes}, margin={margin}"
+        )
+    if feature_dim < num_classes:
+        raise ValueError("feature_dim must be >= num_classes")
 
 
 def _simplex_directions(rng, num_classes: int, feature_dim: int) -> np.ndarray:
@@ -148,8 +145,11 @@ def write_csv(dataset: Dataset, path: str) -> None:
             f.write("\n")
 
 
-def shard(dataset: Dataset, num_workers: int, worker_id: int, epoch: int, seed: int) -> Shard:
-    """Deterministic per-worker slice of this epoch's shuffled index list.
+def shard(
+    dataset: Dataset, num_workers: int, worker_id: int, epoch: int, seed: int
+) -> np.ndarray:
+    """Deterministic per-worker slice of this epoch's shuffled index list,
+    as an index array.
 
     The shuffle is seeded by (seed, epoch) only, so all workers agree on the
     permutation; the list is truncated to floor(n/N)*N and dealt round-robin,
@@ -165,15 +165,14 @@ def shard(dataset: Dataset, num_workers: int, worker_id: int, epoch: int, seed: 
     )
     perm = rng.permutation(n)
     keep = (n // num_workers) * num_workers
-    return Shard(worker_id, num_workers, epoch, perm[:keep][worker_id::num_workers])
+    return perm[:keep][worker_id::num_workers]
 
 
-def batches(shard_: Shard, batch_size: int) -> list[np.ndarray]:
-    """Contiguous index chunks; the final chunk may be short."""
+def batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """Contiguous chunks of an index array; the final chunk may be short."""
     if batch_size < 1:
         raise ConfigurationError("batch_size must be >= 1")
-    idx = shard_.indices
-    return [idx[i : i + batch_size] for i in range(0, len(idx), batch_size)]
+    return [indices[i : i + batch_size] for i in range(0, len(indices), batch_size)]
 
 
 def train_val_split(

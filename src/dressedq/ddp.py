@@ -9,9 +9,11 @@ CRC-32 of the weights it used, which replica_check compares with the
 canonical weights' CRC-32.
 
 Workers run in separate processes (a process pool) because CPython's GIL
-would serialize the per-sample circuit work if they were threads. The
-serial path (parallel=False) executes the same schedule on one thread and
-produces bit-identical results.
+would serialize the per-sample circuit work if they were threads. A task is
+(model, features, labels): the model crosses the process boundary as itself,
+pickled as its spec, sizes and params vector. The serial path
+(parallel=False) executes the same schedule on one thread, hands every task
+the canonical model itself, and produces bit-identical results.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, add_forward_evals, forward_eval_count
+from .circuit import add_forward_evals, forward_eval_count
 from .data import Dataset, batches, shard
 from .errors import ConfigurationError, SyncError, TrainingError
 from .model import HybridModel, TrainConfig, batch_gradient, evaluate, sgd_step
@@ -84,14 +86,13 @@ def allreduce_mean(per_worker_grads: list[np.ndarray]) -> np.ndarray:
 
 
 def _grad_task(payload) -> tuple[np.ndarray, float, int, int]:
-    """Pool worker entry: rebuild the replica from its dimensions and params;
-    return the batch-mean gradient vector, the mean loss, the circuit runs
-    made and the CRC-32 of the weights the gradient was computed with."""
+    """Worker entry for one task, payload (model, features, labels): return
+    the batch-mean gradient vector, the mean loss, the circuit runs made and
+    the CRC-32 of the weights the gradient was computed with."""
     evals_before = forward_eval_count()
-    (q, d, dim, classes), params, feats, labels = payload
-    replica = HybridModel(CircuitSpec(qubits=q, depth=d), dim, classes, params)
-    grad, loss = batch_gradient(replica, feats, labels)
-    return grad, loss, forward_eval_count() - evals_before, zlib.crc32(replica.params)
+    model, feats, labels = payload
+    grad, loss = batch_gradient(model, feats, labels)
+    return grad, loss, forward_eval_count() - evals_before, zlib.crc32(model.params)
 
 
 def train_distributed(
@@ -134,13 +135,10 @@ def train_distributed(
     try:
         for epoch in range(config.epochs):
             t0 = time.monotonic()
-            lr = eff_lr * (0.1 ** (epoch // 10)) if config.lr_step_decay else eff_lr
-
-            shards = [
-                shard(train_set, n_workers, w, epoch, config.seed)
+            batch_lists = [
+                batches(shard(train_set, n_workers, w, epoch, config.seed), config.batch_size)
                 for w in range(n_workers)
             ]
-            batch_lists = [batches(s, config.batch_size) for s in shards]
             steps = len(batch_lists[0])
             worker0_losses = []
             first_checked = {"off": steps, "epoch": steps - 1, "step": 0}[replica_check]
@@ -153,7 +151,7 @@ def train_distributed(
                 )
                 if expected is not None:
                     _assert_replicas_identical(expected, digests)
-                sgd_step(model, allreduce_mean(grads), lr, config.momentum, velocity)
+                sgd_step(model, allreduce_mean(grads), eff_lr, config.momentum, velocity)
                 worker0_losses.append(losses[0])
 
             train_acc = evaluate(model, train_set)
@@ -174,10 +172,8 @@ def train_distributed(
 
 
 def _step_gradients(model, train_set, batch_lists, step, pool):
-    dims = (model.spec.qubits, model.spec.depth, model.feature_dim, model.num_classes)
     payloads = [
-        (dims, model.params, train_set.features[b[step]], train_set.labels[b[step]])
-        for b in batch_lists
+        (model, train_set.features[b[step]], train_set.labels[b[step]]) for b in batch_lists
     ]
     if pool is None:
         results = [_grad_task(p) for p in payloads]

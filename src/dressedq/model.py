@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, QuantumParams, param_shift_grad, quantum_forward
+from .circuit import CircuitSpec, param_shift_grad, quantum_forward
 from .errors import ConfigurationError, TrainingError
 
 CHECKPOINT_MAGIC = b"HYQN1"
@@ -42,10 +42,10 @@ class HybridModel:
     """A dressed circuit classifier whose weights are one float64 vector.
 
     `params` is a contiguous float64 vector holding every trainable weight;
-    pre_weights (q, D), pre_bias (q,), qparams.thetas (d, q), post_weights
-    (C, q) and post_bias (C,) are views into it, so params is updated in
-    place and never rebound. Gradients and velocities are vectors of the
-    same layout.
+    pre_weights (q, D), pre_bias (q,), thetas (d, q), post_weights (C, q)
+    and post_bias (C,) are views into it, so params is updated in place and
+    never rebound. Gradients and velocities are vectors of the same layout.
+    A copy or a pickle round trip rebuilds the views over its own params.
     """
 
     spec: CircuitSpec
@@ -70,10 +70,14 @@ class HybridModel:
             raise ConfigurationError(
                 f"params must be a contiguous float64 vector of length {size}, got {got}"
             )
-        self.pre_weights, self.pre_bias, thetas, self.post_weights, self.post_bias = (
+        self.pre_weights, self.pre_bias, self.thetas, self.post_weights, self.post_bias = (
             self.split(params)
         )
-        self.qparams = QuantumParams(thetas)
+
+    def __reduce__(self):
+        """Pickle and deepcopy rebuild the model from its params, so the
+        copy's blocks are views of the copy's own vector."""
+        return HybridModel, (self.spec, self.feature_dim, self.num_classes, self.params)
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of a params-shaped vector as the five blocks, in checkpoint
@@ -102,8 +106,6 @@ class TrainConfig:
     workers: int = 1
     seed: int = 0
     lr_scaling: str = "linear"  # {"linear", "none"}
-    # Optional step decay (x0.1 every 10 epochs); off for benchmark sweeps.
-    lr_step_decay: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.workers < 1:
@@ -151,7 +153,7 @@ def forward(model: HybridModel, features: np.ndarray) -> np.ndarray:
             f"features shape {features.shape} != ({model.feature_dim},)"
         )
     _, embed = _embed(model, features)
-    qout = quantum_forward(model.spec, model.qparams, embed)
+    qout = quantum_forward(model.spec, model.thetas, embed)
     return model.post_weights @ qout + model.post_bias
 
 
@@ -213,7 +215,7 @@ def backward(
     labels = labels.reshape(-1).astype(np.intp)
     rows = np.arange(len(labels))
     z, embed = _embed(model, feats)  # (B, q)
-    jac_thetas, jac_embed, qout = param_shift_grad(model.spec, model.qparams, embed)
+    jac_thetas, jac_embed, qout = param_shift_grad(model.spec, model.thetas, embed)
     logits = qout @ model.post_weights.T + model.post_bias  # (B, C)
     shifted, e, e_sum = _softmax_terms(logits)
     losses = np.log(e_sum[:, 0]) - shifted[rows, labels]
@@ -273,7 +275,7 @@ def evaluate(model: HybridModel, dataset) -> float:
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _, embeds = _embed(model, dataset.features)
-    qout = quantum_forward(model.spec, model.qparams, embeds)
+    qout = quantum_forward(model.spec, model.thetas, embeds)
     logits = qout @ model.post_weights.T + model.post_bias
     return int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels)) / len(dataset)
 

@@ -23,7 +23,6 @@ from dressedq import (
 )
 from dressedq.circuit import (
     CircuitSpec,
-    QuantumParams,
     forward_eval_count,
     param_shift_grad,
     quantum_forward,
@@ -108,7 +107,7 @@ def test_criterion_2_gradient_exactness():
             spec = CircuitSpec(q, d)
 
             # Circuit Jacobians against central differences.
-            params = QuantumParams(rng.uniform(-np.pi, np.pi, (d, q)))
+            params = rng.uniform(-np.pi, np.pi, (d, q))
             embed = rng.uniform(-np.pi, np.pi, q)
             jac_t, jac_e, _ = param_shift_grad(spec, params, embed)
             fd_t, fd_e = central_difference_jacobians(spec, params, embed)
@@ -171,7 +170,7 @@ def test_criterion_4_small_set_accuracy(small_set_n1_run):
 def _best_forward_seconds(q, depth=6, target=0.4):
     rng = np.random.default_rng(q)
     spec = CircuitSpec(q, depth)
-    params = QuantumParams(rng.uniform(-np.pi, np.pi, (depth, q)))
+    params = rng.uniform(-np.pi, np.pi, (depth, q))
     embed = rng.uniform(-np.pi, np.pi, q)
     quantum_forward(spec, params, embed)  # warm up
     t0 = time.perf_counter()

@@ -21,7 +21,7 @@ from dressedq import (
     quantum_forward,
 )
 from dressedq import circuit, model
-from dressedq.circuit import CircuitSpec, QuantumParams, forward_eval_count
+from dressedq.circuit import CircuitSpec, forward_eval_count
 from dressedq.model import batch_gradient
 
 from oracle import run_circuit_dense
@@ -105,15 +105,15 @@ def test_quantum_forward_batch_equals_single_calls(case):
     spec, thetas, embeds = case
     k = len(embeds)
     before = forward_eval_count()
-    per_row = quantum_forward(spec, QuantumParams(thetas), embeds)
-    shared = quantum_forward(spec, QuantumParams(thetas[0]), embeds)
+    per_row = quantum_forward(spec, thetas, embeds)
+    shared = quantum_forward(spec, thetas[0], embeds)
     assert forward_eval_count() - before == 2 * k
     assert per_row.shape == shared.shape == (k, spec.qubits)
     for row in range(k):
-        single = quantum_forward(spec, QuantumParams(thetas[row]), embeds[row])
+        single = quantum_forward(spec, thetas[row], embeds[row])
         assert np.array_equal(per_row[row], single)
     for row in range(k):
-        single = quantum_forward(spec, QuantumParams(thetas[0]), embeds[row])
+        single = quantum_forward(spec, thetas[0], embeds[row])
         assert np.array_equal(shared[row], single)
 
 
@@ -123,16 +123,16 @@ def test_paper_size_batch_equals_single_calls():
     spec = CircuitSpec(4, 6)
     thetas = rng.uniform(-np.pi, np.pi, (57, 6, 4))
     embeds = rng.uniform(-np.pi, np.pi, (57, 4))
-    batch = quantum_forward(spec, QuantumParams(thetas), embeds)
+    batch = quantum_forward(spec, thetas, embeds)
     for row in range(57):
-        single = quantum_forward(spec, QuantumParams(thetas[row]), embeds[row])
+        single = quantum_forward(spec, thetas[row], embeds[row])
         assert np.array_equal(batch[row], single)
 
 
 def test_chunked_batch_equals_single_chunk(monkeypatch):
     rng = np.random.default_rng(3)
     spec = CircuitSpec(3, 2)
-    params = QuantumParams(rng.uniform(-np.pi, np.pi, (2, 3)))
+    params = rng.uniform(-np.pi, np.pi, (2, 3))
     embeds = rng.uniform(-np.pi, np.pi, (7, 3))
     whole = quantum_forward(spec, params, embeds)
     # Two rows per chunk: chunks of 2, 2, 2 and 1 rows.
@@ -160,16 +160,15 @@ def shift_batches(draw):
 
 
 def assert_batch_equals_single_calls(spec, thetas, embeds):
-    params = QuantumParams(thetas)
     q, d, b = spec.qubits, spec.depth, len(embeds)
     before = forward_eval_count()
-    jac_t, jac_e, value = param_shift_grad(spec, params, embeds)
+    jac_t, jac_e, value = param_shift_grad(spec, thetas, embeds)
     assert forward_eval_count() - before == b * circuit_evals_per_sample(spec)
     assert jac_t.shape == (b, q, d, q)
     assert jac_e.shape == (b, q, q)
     assert value.shape == (b, q)
     for row in range(b):
-        single = param_shift_grad(spec, params, embeds[row])
+        single = param_shift_grad(spec, thetas, embeds[row])
         for batched, one in zip((jac_t, jac_e, value), single):
             assert np.array_equal(batched[row], one)
 
@@ -194,7 +193,7 @@ def test_param_shift_batch_across_chunk_boundary():
 @pytest.mark.parametrize("embeds", [np.zeros((0, 2)), np.zeros((3, 3)), np.zeros((1, 2, 2))])
 def test_param_shift_rejects_bad_batch_shapes(embeds):
     with pytest.raises(ConfigurationError):
-        param_shift_grad(CircuitSpec(2, 1), QuantumParams(np.zeros((1, 2))), embeds)
+        param_shift_grad(CircuitSpec(2, 1), np.zeros((1, 2)), embeds)
 
 
 @st.composite
@@ -208,7 +207,7 @@ def labeled_batches(draw):
     rng = np.random.default_rng(seed)
     net = init_model(CircuitSpec(q, d), dim, classes, seed=seed)
     # Larger-than-initial angles so every Jacobian entry is exercised.
-    net.qparams.thetas[:] = rng.uniform(-np.pi, np.pi, (d, q))
+    net.thetas[:] = rng.uniform(-np.pi, np.pi, (d, q))
     features = rng.normal(size=(b, dim)) * 3.0
     labels = rng.integers(classes, size=b)
     return net, features, labels

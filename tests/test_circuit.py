@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dressedq import ConfigurationError, circuit_evals_per_sample, param_shift_grad, quantum_forward
-from dressedq.circuit import CircuitSpec, QuantumParams, forward_eval_count
+from dressedq.circuit import CircuitSpec, forward_eval_count
 
 from oracle import expect_z_dense, run_circuit_dense
 
@@ -20,9 +20,7 @@ def layout_gates(spec, thetas, embed):
 
 
 def random_point(rng, q, d):
-    return QuantumParams(rng.uniform(-np.pi, np.pi, size=(d, q))), rng.uniform(
-        -np.pi, np.pi, size=q
-    )
+    return rng.uniform(-np.pi, np.pi, size=(d, q)), rng.uniform(-np.pi, np.pi, size=q)
 
 
 def test_spec_validation():
@@ -37,7 +35,7 @@ def test_spec_validation():
 def test_forward_identity_circuit_on_plus_states():
     # All angles zero: H layer leaves |+>^q, CNOTs fix it, RY(0)=I, <Z>=0.
     spec = CircuitSpec(qubits=4, depth=6)
-    out = quantum_forward(spec, QuantumParams(np.zeros((6, 4))), np.zeros(4))
+    out = quantum_forward(spec, np.zeros((6, 4)), np.zeros(4))
     assert np.allclose(out, np.zeros(4), atol=1e-12)
 
 
@@ -45,7 +43,7 @@ def test_forward_identity_circuit_on_plus_states():
 def test_forward_single_qubit_analytic(angle):
     # RY(a) H |0> gives <Z> = -sin(a).
     spec = CircuitSpec(qubits=1, depth=0)
-    out = quantum_forward(spec, QuantumParams(np.zeros((0, 1))), np.array([angle]))
+    out = quantum_forward(spec, np.zeros((0, 1)), np.array([angle]))
     assert out[0] == pytest.approx(-np.sin(angle), abs=1e-12)
 
 
@@ -54,7 +52,7 @@ def test_forward_matches_dense_oracle():
     spec = CircuitSpec(qubits=3, depth=2)
     params, embed = random_point(rng, 3, 2)
     out = quantum_forward(spec, params, embed)
-    ref_state = run_circuit_dense(layout_gates(spec, params.thetas, embed), 3)
+    ref_state = run_circuit_dense(layout_gates(spec, params, embed), 3)
     ref = [expect_z_dense(ref_state, w, 3) for w in range(3)]
     assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -62,9 +60,9 @@ def test_forward_matches_dense_oracle():
 def test_forward_shape_mismatch():
     spec = CircuitSpec(qubits=3, depth=2)
     with pytest.raises(ConfigurationError):
-        quantum_forward(spec, QuantumParams(np.zeros((2, 2))), np.zeros(3))
+        quantum_forward(spec, np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ConfigurationError):
-        quantum_forward(spec, QuantumParams(np.zeros((2, 3))), np.zeros(4))
+        quantum_forward(spec, np.zeros((2, 3)), np.zeros(4))
 
 
 def test_forward_outputs_bounded_and_symmetric_at_zero():
@@ -74,16 +72,14 @@ def test_forward_outputs_bounded_and_symmetric_at_zero():
         params, embed = random_point(rng, q, d)
         out = quantum_forward(spec, params, embed)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
-        zero = quantum_forward(spec, QuantumParams(np.zeros((d, q))), np.zeros(q))
+        zero = quantum_forward(spec, np.zeros((d, q)), np.zeros(q))
         assert np.allclose(zero, zero[0], atol=1e-12)
 
 
 def test_param_shift_single_qubit_embed_grad():
     spec = CircuitSpec(qubits=1, depth=0)
     for a in [0.0, 0.8, -1.5]:
-        _, jac_embed, value = param_shift_grad(
-            spec, QuantumParams(np.zeros((0, 1))), np.array([a])
-        )
+        _, jac_embed, value = param_shift_grad(spec, np.zeros((0, 1)), np.array([a]))
         assert jac_embed[0, 0] == pytest.approx(-np.cos(a), abs=1e-12)
         assert value[0] == pytest.approx(-np.sin(a), abs=1e-12)
 
@@ -93,10 +89,10 @@ def central_difference_jacobians(spec, params, embed, h=1e-5):
     jac_t = np.empty((q, d, q))
     for layer in range(d):
         for i in range(q):
-            plus = QuantumParams(params.thetas.copy())
-            minus = QuantumParams(params.thetas.copy())
-            plus.thetas[layer, i] += h
-            minus.thetas[layer, i] -= h
+            plus = params.copy()
+            minus = params.copy()
+            plus[layer, i] += h
+            minus[layer, i] -= h
             jac_t[:, layer, i] = (
                 quantum_forward(spec, plus, embed) - quantum_forward(spec, minus, embed)
             ) / (2 * h)
@@ -113,7 +109,7 @@ def central_difference_jacobians(spec, params, embed, h=1e-5):
 
 def test_param_shift_matches_finite_differences_at_zero():
     spec = CircuitSpec(qubits=4, depth=6)
-    params, embed = QuantumParams(np.zeros((6, 4))), np.zeros(4)
+    params, embed = np.zeros((6, 4)), np.zeros(4)
     jac_t, jac_e, _ = param_shift_grad(spec, params, embed)
     fd_t, fd_e = central_difference_jacobians(spec, params, embed)
     assert np.max(np.abs(jac_t - fd_t)) < 1e-6

@@ -27,6 +27,9 @@ TINY = ["--synthetic", "40,8,2,3", "--epochs", "2", "--depth", "1", "--seed", "7
         ("--qubits", ",", "qubits"),
         ("--synthetic", "x,8,2,3", "qubits"),
         ("--synthetic", "40,8,2", "qubits"),
+        ("--synthetic", "0,8,2,3", "latency"),
+        ("--synthetic", "10,8,2,-1", "latency"),
+        ("--synthetic", "10,8,2,nan", "latency"),
     ],
 )
 def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, sweep):

@@ -119,14 +119,14 @@ def test_load_csv_empty_file(tmp_path):
 def test_shard_single_worker_covers_everything():
     ds = generate_synthetic(20, 4, 2, 1.0, seed=1)
     s = shard(ds, 1, 0, epoch=0, seed=9)
-    assert sorted(s.indices) == list(range(20))
+    assert sorted(s) == list(range(20))
 
 
 def test_shard_floor_arithmetic():
     ds = generate_synthetic(10, 4, 2, 1.0, seed=1)
     shards = [shard(ds, 4, w, epoch=0, seed=9) for w in range(4)]
-    assert all(len(s.indices) == 2 for s in shards)
-    union = np.concatenate([s.indices for s in shards])
+    assert all(len(s) == 2 for s in shards)
+    union = np.concatenate(shards)
     assert len(set(union)) == 8  # 2 samples dropped this epoch
 
 
@@ -135,9 +135,9 @@ def test_shard_partition_property(n, workers):
     ds = generate_synthetic(n, 4, 2, 1.0, seed=2)
     for epoch in (0, 3):
         shards = [shard(ds, workers, w, epoch, seed=13) for w in range(workers)]
-        sizes = {len(s.indices) for s in shards}
+        sizes = {len(s) for s in shards}
         assert sizes == {n // workers}
-        union = np.concatenate([s.indices for s in shards])
+        union = np.concatenate(shards)
         assert len(set(union)) == (n // workers) * workers
 
 
@@ -145,14 +145,14 @@ def test_shard_reshuffles_between_epochs():
     ds = generate_synthetic(32, 4, 2, 1.0, seed=2)
     a = shard(ds, 2, 0, epoch=0, seed=3)
     b = shard(ds, 2, 0, epoch=1, seed=3)
-    assert not np.array_equal(a.indices, b.indices)
+    assert not np.array_equal(a, b)
 
 
 def test_shard_deterministic():
     ds = generate_synthetic(32, 4, 2, 1.0, seed=2)
     a = shard(ds, 4, 2, epoch=5, seed=77)
     b = shard(ds, 4, 2, epoch=5, seed=77)
-    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a, b)
 
 
 def test_shard_rejects_too_many_workers():
@@ -177,7 +177,7 @@ def test_batches_concatenate_to_shard():
     ds = generate_synthetic(13, 4, 2, 1.0, seed=2)
     s = shard(ds, 1, 0, 0, seed=1)
     chunks = batches(s, 3)
-    assert np.array_equal(np.concatenate(chunks), s.indices)
+    assert np.array_equal(np.concatenate(chunks), s)
 
 
 def test_train_val_split_disjoint_and_deterministic():

@@ -5,7 +5,9 @@ weight blocks are views into it. These tests pin the HYQN1 bytes to those
 written when the blocks were separate arrays, and the invariants the views
 and the whole-vector operations rely on.
 """
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -76,23 +78,37 @@ def test_load_then_save_reproduces_pinned_bytes(tmp_path):
     assert dst.read_bytes() == HYQN1_TINY
 
 
+COPIES = {
+    "original": lambda model: model,
+    "copy()": lambda model: model.copy(),
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda model: pickle.loads(pickle.dumps(model)),
+}
+
+
 def test_views_share_memory_with_params():
-    model = tiny_model()
-    views = [
-        model.pre_weights,
-        model.pre_bias,
-        model.qparams.thetas,
-        model.post_weights,
-        model.post_bias,
-    ]
-    assert [v.shape for v in views] == [(2, 3), (2,), (1, 2), (2, 2), (2,)]
-    for view, block in zip(views, model.weight_blocks()):
-        assert np.shares_memory(view, model.params)
-        assert np.shares_memory(block, view)
-    # In checkpoint order, the views tile params exactly.
-    assert np.array_equal(np.concatenate([v.ravel() for v in views]), model.params)
-    model.params[-1] = 7.0
-    assert model.post_bias[-1] == 7.0
+    for how, make in COPIES.items():
+        model = make(tiny_model())
+        views = [
+            model.pre_weights,
+            model.pre_bias,
+            model.thetas,
+            model.post_weights,
+            model.post_bias,
+        ]
+        assert [v.shape for v in views] == [(2, 3), (2,), (1, 2), (2, 2), (2,)], how
+        for view, block in zip(views, model.weight_blocks()):
+            assert np.shares_memory(view, model.params), how
+            assert np.shares_memory(block, view), how
+        # In checkpoint order, the views tile params exactly.
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), model.params), how
+        # An update of params is seen through every view.
+        before = [v.copy() for v in views]
+        sgd_step(model, np.ones_like(model.params), 0.5, 0.0, np.zeros_like(model.params))
+        for old, view in zip(before, views):
+            assert np.array_equal(view, old - 0.5), how
+        model.params[-1] = 7.0
+        assert model.post_bias[-1] == 7.0, how
 
 
 def test_sgd_step_moves_the_views():
@@ -102,7 +118,7 @@ def test_sgd_step_moves_the_views():
     sgd_step(model, grad, 0.5, 0.0, np.zeros_like(model.params))
     for old, new in zip(before, model.weight_blocks()):
         assert np.array_equal(new, old - 0.5)
-    assert np.array_equal(model.qparams.thetas, before[2] - 0.5)
+    assert np.array_equal(model.thetas, before[2] - 0.5)
 
 
 def test_copy_is_independent():
@@ -110,7 +126,7 @@ def test_copy_is_independent():
     clone = model.copy()
     assert not np.shares_memory(clone.params, model.params)
     clone.params[:] = 0.0
-    clone.qparams.thetas[...] = 1.0
+    clone.thetas[...] = 1.0
     assert np.array_equal(model.params, tiny_model().params)
 
 

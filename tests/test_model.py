@@ -45,7 +45,7 @@ def test_forward_matches_stagewise_composition():
     x = rng.normal(size=7)
     z = model.pre_weights @ x + model.pre_bias
     embed = (np.pi / 2) * np.tanh(z)
-    qout = quantum_forward(model.spec, model.qparams, embed)
+    qout = quantum_forward(model.spec, model.thetas, embed)
     expected = model.post_weights @ qout + model.post_bias
     assert np.allclose(forward(model, x), expected, atol=1e-14)
 
