@@ -9,13 +9,7 @@ from .circuit import (
     quantum_forward,
 )
 from .data import Dataset, batches, generate_synthetic, load_csv, shard, write_csv
-from .ddp import (
-    EpochMetrics,
-    allreduce_mean,
-    effective_batch_size,
-    scale_lr,
-    train_distributed,
-)
+from .ddp import EpochMetrics, allreduce_mean, train_distributed
 from .errors import ConfigurationError, DataFormatError, SyncError, TrainingError
 from .latency import BackendProfile, epoch_wall_seconds, feasibility_report, jobs_per_epoch
 from .model import (

@@ -154,8 +154,7 @@ def param_shift_grad(
     # angle p (thetas in row-major order, then the embedding angles) by +pi/2
     # and -pi/2.
     embeds = embed_angles.reshape(-1, q)
-    b, n = len(embeds), d * q + q
-    k = 1 + 2 * n
+    b, n, k = len(embeds), d * q + q, circuit_evals_per_sample(spec)
     angles = np.empty((b, k, n))
     angles[:, :, : d * q] = thetas.ravel()
     angles[:, :, d * q :] = embeds[:, None, :]

@@ -19,7 +19,8 @@ import time
 
 from .circuit import CircuitSpec
 from .data import Dataset, check_synthetic_sizes, generate_synthetic, load_csv, train_val_split
-from .ddp import scale_lr, train_distributed
+from .ddp import train_distributed
+from .errors import ConfigurationError
 from .latency import BackendProfile, feasibility_report, format_report
 from .model import TrainConfig, init_model
 
@@ -58,13 +59,13 @@ def _run_point(
         ]
 
     try:
-        eff_lr = scale_lr(args.lr, workers, args.lr_scaling)
-        spec = CircuitSpec(qubits=qubits, depth=args.depth)
-        model = init_model(spec, train_set.feature_dim, train_set.num_classes, args.seed)
         config = TrainConfig(
             epochs=epochs, batch_size=args.batch_size, base_lr=args.lr, momentum=0.9,
             workers=workers, seed=args.seed, lr_scaling=args.lr_scaling,
         )
+        eff_lr = config.lr
+        spec = CircuitSpec(qubits=qubits, depth=args.depth)
+        model = init_model(spec, train_set.feature_dim, train_set.num_classes, args.seed)
         _, metrics = train_distributed(model, train_set, config, val_set=val_set)
         seconds = sum(m.wall_seconds for m in metrics)
         return record(seconds, metrics[-1].train_accuracy, metrics[-1].val_accuracy, "ok")
@@ -183,19 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_dataset(args) -> Dataset:
-    if args.dataset:
-        return load_csv(args.dataset)
-    return generate_synthetic(*args.synthetic, args.seed)
-
-
 def main(argv=None) -> str:
     """Run one sweep; returns the output CSV path."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     out = args.out or f"{args.sweep}-{time.strftime('%Y%m%d-%H%M%S')}.csv"
 
-    dataset = _load_dataset(args)
-    train_set, val_set, held_out = train_val_split(dataset, 0.2, args.seed)
+    if args.dataset:
+        flag, dataset = "--dataset", load_csv(args.dataset)
+    else:
+        flag, dataset = "--synthetic", generate_synthetic(*args.synthetic, args.seed)
+    try:
+        train_set, val_set, held_out = train_val_split(dataset, 0.2, args.seed)
+    except ConfigurationError as exc:
+        # The split rule lives in train_val_split; here it is a flag error.
+        parser.error(f"argument {flag}: {exc}")
     print(
         f"dataset: n={len(dataset)} D={dataset.feature_dim} "
         f"C={dataset.num_classes}; train={len(train_set)} val={len(val_set)}"

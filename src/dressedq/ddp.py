@@ -5,8 +5,8 @@ worker computes the mean gradient over its own batch with the canonical
 weights, the gradients are averaged in a fixed pairwise tree over ascending
 worker ids, and one update is applied. Equal shard sizes mean equal batch
 counts, so workers stay in lockstep by construction. Each worker returns a
-CRC-32 of the weights it used, which replica_check compares with the
-canonical weights' CRC-32.
+CRC-32 of the weights it used, which every step compares with the canonical
+weights' CRC-32.
 
 Workers run in separate processes (a process pool) because CPython's GIL
 would serialize the per-sample circuit work if they were threads. A task is
@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,6 @@ from .data import Dataset, batches, shard
 from .errors import ConfigurationError, SyncError, TrainingError
 from .model import HybridModel, TrainConfig, batch_gradient, evaluate, sgd_step
 
-REPLICA_CHECKS = ("off", "epoch", "step")
-
 
 @dataclass
 class EpochMetrics:
@@ -39,24 +38,6 @@ class EpochMetrics:
     train_accuracy: float
     val_accuracy: float
     wall_seconds: float
-
-
-def effective_batch_size(per_worker_batch: int, num_workers: int) -> int:
-    """Global samples per optimizer step: per-worker batch times workers."""
-    if per_worker_batch < 1 or num_workers < 1:
-        raise ConfigurationError("batch size and worker count must be >= 1")
-    return per_worker_batch * num_workers
-
-
-def scale_lr(base_lr: float, num_workers: int, mode: str) -> float:
-    """Linear scaling multiplies the rate by the worker count."""
-    if base_lr <= 0:
-        raise ConfigurationError("base_lr must be positive")
-    if mode == "linear":
-        return base_lr * num_workers
-    if mode == "none":
-        return base_lr
-    raise ConfigurationError(f"unknown lr scaling mode {mode!r}")
 
 
 def allreduce_mean(per_worker_grads: list[np.ndarray]) -> np.ndarray:
@@ -101,7 +82,6 @@ def train_distributed(
     config: TrainConfig,
     val_set: Dataset | None = None,
     parallel: bool | None = None,
-    replica_check: str = "epoch",
 ) -> tuple[HybridModel, list[EpochMetrics]]:
     """Train a copy of `model` on N lockstep workers; returns the trained
     copy and metrics. The caller's model is not modified.
@@ -109,49 +89,35 @@ def train_distributed(
     Metrics (loss over worker 0's shard, accuracy over the full train and
     validation sets) are recorded once per epoch, so they do not depend on
     N. Epoch wall time covers the epoch loop only, not dataset or model
-    construction. replica_check compares the digest of the weights every
-    worker computed with against the canonical weights' digest, and raises
-    SyncError naming the first worker that differs: "step" checks every
-    step, "epoch" each epoch's last step, "off" never.
+    construction. Every step compares the digest of the weights each worker
+    computed with against the canonical weights' digest and raises
+    SyncError naming the first worker that differs. A task that raises, or
+    a pool worker that dies, ends in TrainingError naming its worker.
     """
-    if replica_check not in REPLICA_CHECKS:
-        raise ConfigurationError(
-            f"unknown replica_check {replica_check!r}; expected one of {REPLICA_CHECKS}"
-        )
     n_workers = config.workers
-    if n_workers > len(train_set):
-        raise ConfigurationError(
-            f"{n_workers} workers exceed the {len(train_set)} training samples"
-        )
     if parallel is None:
         parallel = n_workers > 1
-    eff_lr = scale_lr(config.base_lr, n_workers, config.lr_scaling)
 
     model = model.copy()
     velocity = np.zeros_like(model.params)
     metrics: list[EpochMetrics] = []
 
-    pool = ProcessPoolExecutor(max_workers=n_workers) if parallel else None
-    try:
+    with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
         for epoch in range(config.epochs):
             t0 = time.monotonic()
             batch_lists = [
                 batches(shard(train_set, n_workers, w, epoch, config.seed), config.batch_size)
                 for w in range(n_workers)
             ]
-            steps = len(batch_lists[0])
             worker0_losses = []
-            first_checked = {"off": steps, "epoch": steps - 1, "step": 0}[replica_check]
-
-            for step in range(steps):
+            for step in range(len(batch_lists[0])):
                 # Taken before dispatch: an in-process worker shares the array.
-                expected = zlib.crc32(model.params) if step >= first_checked else None
+                expected = zlib.crc32(model.params)
                 grads, losses, digests = _step_gradients(
                     model, train_set, batch_lists, step, pool
                 )
-                if expected is not None:
-                    _assert_replicas_identical(expected, digests)
-                sgd_step(model, allreduce_mean(grads), eff_lr, config.momentum, velocity)
+                _assert_replicas_identical(expected, digests)
+                sgd_step(model, allreduce_mean(grads), config.lr, config.momentum, velocity)
                 worker0_losses.append(losses[0])
 
             train_acc = evaluate(model, train_set)
@@ -165,9 +131,6 @@ def train_distributed(
                     wall_seconds=time.monotonic() - t0,
                 )
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return model, metrics
 
 
@@ -175,18 +138,15 @@ def _step_gradients(model, train_set, batch_lists, step, pool):
     payloads = [
         (model, train_set.features[b[step]], train_set.labels[b[step]]) for b in batch_lists
     ]
-    if pool is None:
-        results = [_grad_task(p) for p in payloads]
-    else:
-        futures = [pool.submit(_grad_task, p) for p in payloads]
-        results = []
-        for w, fut in enumerate(futures):
-            try:
-                results.append(fut.result())
-            except Exception as exc:
-                raise TrainingError(f"worker {w} failed: {exc}") from exc
+    results = []
+    try:
+        for result in (map if pool is None else pool.map)(_grad_task, payloads):
+            results.append(result)
+    except Exception as exc:
+        raise TrainingError(f"worker {len(results)} failed: {exc}") from exc
+    if pool is not None:
         # Workers count their circuit runs in their own processes; the
-        # in-process path above has already counted them here.
+        # in-process path has already counted them here.
         add_forward_evals(sum(evals for _, _, evals, _ in results))
     grads, losses, _, digests = map(list, zip(*results))
     return grads, losses, digests

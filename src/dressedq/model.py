@@ -37,7 +37,7 @@ def _param_count(spec: CircuitSpec, feature_dim: int, num_classes: int) -> int:
     return sum(math.prod(shape) for shape in _block_shapes(spec, feature_dim, num_classes))
 
 
-@dataclass
+@dataclass(eq=False)
 class HybridModel:
     """A dressed circuit classifier whose weights are one float64 vector.
 
@@ -105,7 +105,7 @@ class TrainConfig:
     momentum: float = 0.9
     workers: int = 1
     seed: int = 0
-    lr_scaling: str = "linear"  # {"linear", "none"}
+    lr_scaling: str = "linear"  # {"linear", "none"}; see lr
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.workers < 1:
@@ -114,6 +114,12 @@ class TrainConfig:
             raise ConfigurationError("base_lr must be positive")
         if self.lr_scaling not in ("linear", "none"):
             raise ConfigurationError(f"unknown lr_scaling {self.lr_scaling!r}")
+
+    @property
+    def lr(self) -> float:
+        """base_lr, times the worker count under "linear" scaling (Goyal et
+        al., arXiv:1706.02677)."""
+        return self.base_lr * self.workers if self.lr_scaling == "linear" else self.base_lr
 
 
 def init_model(

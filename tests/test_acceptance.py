@@ -147,10 +147,8 @@ def test_criterion_3_ddp_equivalence():
                 epochs=2, batch_size=4, base_lr=4e-4, workers=workers, seed=19,
                 lr_scaling="none",
             )
-            # replica_check="step" raises on any bitwise replica divergence.
-            multi, _ = train_distributed(
-                model.copy(), ds, multi_cfg, parallel=False, replica_check="step"
-            )
+            # The per-step replica check raises on any bitwise replica divergence.
+            multi, _ = train_distributed(model.copy(), ds, multi_cfg, parallel=False)
             single_cfg = TrainConfig(
                 epochs=2, batch_size=4 * workers, base_lr=4e-4, workers=1,
                 seed=19, lr_scaling="none",

@@ -30,6 +30,7 @@ TINY = ["--synthetic", "40,8,2,3", "--epochs", "2", "--depth", "1", "--seed", "7
         ("--synthetic", "0,8,2,3", "latency"),
         ("--synthetic", "10,8,2,-1", "latency"),
         ("--synthetic", "10,8,2,nan", "latency"),
+        ("--synthetic", "1,8,1,3", "latency"),
     ],
 )
 def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, sweep):

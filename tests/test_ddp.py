@@ -14,9 +14,7 @@ from dressedq import (
     TrainConfig,
     TrainingError,
     allreduce_mean,
-    effective_batch_size,
     init_model,
-    scale_lr,
     train_distributed,
 )
 from dressedq import ddp
@@ -35,17 +33,12 @@ def random_grads(rng, model):
     return rng.normal(size=model.params.shape)
 
 
-@pytest.mark.parametrize("batch,n,expected", [(4, 8, 32), (4, 1, 4), (1, 1, 1)])
-def test_effective_batch_size(batch, n, expected):
-    assert effective_batch_size(batch, n) == expected
-
-
 def test_scale_lr():
-    assert scale_lr(0.0004, 8, "linear") == pytest.approx(0.0032)
-    assert scale_lr(0.0004, 1, "linear") == 0.0004
-    assert scale_lr(0.123, 16, "none") == 0.123
+    assert TrainConfig(base_lr=0.0004, workers=8).lr == pytest.approx(0.0032)
+    assert TrainConfig(base_lr=0.0004, workers=1).lr == 0.0004
+    assert TrainConfig(base_lr=0.123, workers=16, lr_scaling="none").lr == 0.123
     with pytest.raises(ConfigurationError):
-        scale_lr(0.1, 2, "sqrt")
+        TrainConfig(base_lr=0.1, workers=2, lr_scaling="sqrt")
 
 
 def test_allreduce_opposite_gradients_cancel():
@@ -130,9 +123,7 @@ def test_lockstep_matches_large_batch_single_worker(workers):
         epochs=2, batch_size=4, base_lr=4e-4, workers=workers, seed=17,
         lr_scaling="none",
     )
-    multi, _ = train_distributed(
-        model.copy(), ds, multi_cfg, parallel=False, replica_check="step"
-    )
+    multi, _ = train_distributed(model.copy(), ds, multi_cfg, parallel=False)
     single_cfg = TrainConfig(
         epochs=2, batch_size=4 * workers, base_lr=4e-4, workers=1, seed=17,
         lr_scaling="none",
@@ -200,14 +191,14 @@ def test_one_update_per_step_and_caller_model_unchanged(monkeypatch):
     assert np.array_equal(model.params, before)
 
 
-@pytest.mark.parametrize("mode, checks_per_epoch", [("off", 0), ("epoch", 1), ("step", 4)])
-def test_replica_check_schedule(monkeypatch, mode, checks_per_epoch):
+def test_replica_check_schedule(monkeypatch):
     ds, model = make_problem(n=8)
     config = TrainConfig(epochs=2, batch_size=1, base_lr=4e-4, workers=2, seed=41)
     checked = []
     monkeypatch.setattr(ddp, "_assert_replicas_identical", lambda *a: checked.append(a))
-    train_distributed(model, ds, config, parallel=False, replica_check=mode)
-    assert len(checked) == 2 * checks_per_epoch
+    train_distributed(model, ds, config, parallel=False)
+    # 8 samples over 2 workers at batch 1: 4 steps per epoch, each checked.
+    assert len(checked) == 2 * 4
     for expected, digests in checked:
         assert digests == [expected, expected]
 
@@ -256,9 +247,16 @@ FORK_ONLY = pytest.mark.skipif(
 )
 
 
-@FORK_ONLY
-@pytest.mark.parametrize("how", ["raise", "exit"])
-def test_pool_worker_failure_ends_in_training_error(monkeypatch, how):
+@pytest.mark.parametrize(
+    "how, parallel",
+    [
+        pytest.param("raise", True, marks=FORK_ONLY, id="raise"),
+        pytest.param("exit", True, marks=FORK_ONLY, id="exit"),
+        # os._exit in the serial path would end the test process itself.
+        pytest.param("raise", False, id="serial-raise"),
+    ],
+)
+def test_pool_worker_failure_ends_in_training_error(monkeypatch, how, parallel):
     ds, model = make_problem(n=8)
     config = TrainConfig(epochs=2, batch_size=1, base_lr=4e-4, workers=2, seed=37)
     # Mark worker 1's first sample: the fault happens at step 0 in worker 1.
@@ -267,7 +265,7 @@ def test_pool_worker_failure_ends_in_training_error(monkeypatch, how):
     # Pool workers fork after this and inherit the patched module global.
     monkeypatch.setattr(ddp, "batch_gradient", _fail_on_marker(how))
     with time_limit(30.0), pytest.raises(TrainingError) as info:
-        train_distributed(model, ds, config, parallel=True)
+        train_distributed(model, ds, config, parallel=parallel)
     if how == "raise":
         # Worker 0's step succeeded; the message names the worker that failed.
         assert "worker 1 failed" in str(info.value)
@@ -295,4 +293,4 @@ def test_worker_with_altered_weights_ends_in_sync_error(monkeypatch, parallel):
     ds.features[first, 0] = MARKER
     monkeypatch.setattr(ddp, "batch_gradient", _alter_weights_on_marker)
     with time_limit(30.0), pytest.raises(SyncError, match=r"^worker 1 "):
-        train_distributed(model, ds, config, parallel=parallel, replica_check="step")
+        train_distributed(model, ds, config, parallel=parallel)
