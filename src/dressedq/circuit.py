@@ -91,14 +91,13 @@ def quantum_forward(
     _check_args(spec, thetas, embed_angles)
     embeds = embed_angles.reshape(-1, spec.qubits)
     k = len(embeds)
-    shared = thetas.ndim == 2
     _forward_evals += k
 
     out = np.empty((k, spec.qubits))
     chunk = max(1, BATCH_AMPLITUDES >> spec.qubits)
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
-        out[rows] = _run_rows(spec, thetas if shared else thetas[rows], embeds[rows])
+        out[rows] = _run_rows(spec, thetas if thetas.ndim == 2 else thetas[rows], embeds[rows])
     return out[0] if embed_angles.ndim == 1 else out
 
 
@@ -106,8 +105,6 @@ def _run_rows(spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray) -> np.n
     """The circuit layout on a (K, 2^q) state; embeds (K, q), thetas shared
     (d, q) or per row (K, d, q)."""
     q = spec.qubits
-    # angles[layer][i]: a float when shared, a length-K vector per row.
-    angles = thetas.tolist() if thetas.ndim == 2 else np.moveaxis(thetas, 0, -1)
     state = qsim.new_zero_state(q, rows=len(embeds))
     for i in range(q):
         qsim.apply_h(state, i)
@@ -119,7 +116,7 @@ def _run_rows(spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray) -> np.n
         for i in range(1, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(q):
-            qsim.apply_ry(state, i, angles[layer][i])
+            qsim.apply_ry(state, i, thetas[..., layer, i])
     return qsim.expect_z_all(state)
 
 

@@ -76,7 +76,7 @@ def _run_point(
 
 def run_sweep(train_set, val_set, args) -> list[list]:
     """One training run, as a RUN_CSV_HEADER row, per value of the swept
-    flag, args.sweep; the other SWEEP_AXES flags stay at their first value."""
+    flag, args.sweep; the other SWEEP_AXES flags hold one value each."""
     values = getattr(args, args.sweep)
     threads = os.cpu_count() or 1
     if args.sweep == "workers" and max(values) > threads:
@@ -94,20 +94,13 @@ def run_sweep(train_set, val_set, args) -> list[list]:
 
 def default_profiles(args) -> list[BackendProfile]:
     if args.latency is not None:
-        return [
-            BackendProfile(
-                name="custom",
-                mean_job_latency=args.latency,
-                queue_overhead=args.queue,
-                job_cap=args.job_cap,
-            )
-        ]
+        return [BackendProfile(name="custom", mean_job_latency=args.latency,
+                               queue_overhead=args.queue or 0.0, job_cap=args.job_cap)]
     return [
         # Effective 1.3 s/job sits inside the observed 1-5 s remote queue range.
         BackendProfile(name="remote-simulator", mean_job_latency=0.0,
                        queue_overhead=1.3),
-        BackendProfile(name="local-simulator", mean_job_latency=0.001,
-                       queue_overhead=0.0),
+        BackendProfile(name="local-simulator", mean_job_latency=0.001),
     ]
 
 
@@ -175,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Latency sweep knobs; defaults cover a remote and a local profile.
     p.add_argument("--latency", type=float, default=None,
                    help="per-job execution seconds for a custom backend profile")
-    p.add_argument("--queue", type=float, default=0.0,
-                   help="per-job queue seconds for the custom profile")
+    p.add_argument("--queue", type=float, default=None,
+                   help="per-job queue seconds for the custom profile (default 0)")
     p.add_argument("--job-cap", type=int, default=None,
                    help="max jobs the custom backend accepts before failing")
     p.add_argument("--budget", type=float, default=86400.0,
@@ -188,6 +181,12 @@ def main(argv=None) -> str:
     """Run one sweep; returns the output CSV path."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for axis in SWEEP_AXES:
+        if axis != args.sweep and len(getattr(args, axis)) > 1:
+            parser.error(f"argument --{axis}: --sweep {args.sweep} takes one value")
+    for flag, value in (("--queue", args.queue), ("--job-cap", args.job_cap)):
+        if value is not None and args.latency is None:
+            parser.error(f"argument {flag}: applies only with --latency")
     out = args.out or f"{args.sweep}-{time.strftime('%Y%m%d-%H%M%S')}.csv"
 
     if args.dataset:
@@ -208,7 +207,11 @@ def main(argv=None) -> str:
     print(f"held-out indices ({len(held_out)}): {shown}{more}")
 
     if args.sweep == "latency":
-        rows = bench_latency(train_set, args)
+        try:
+            rows = bench_latency(train_set, args)
+        except ValueError as exc:
+            # The bounds live in BackendProfile, CircuitSpec and feasibility_report.
+            parser.error(str(exc))
         header = LATENCY_CSV_HEADER
     else:
         rows = run_sweep(train_set, val_set, args)

@@ -8,7 +8,7 @@ values as decimal floats. No header, UTF-8, LF endings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,14 +20,13 @@ class Dataset:
     features: np.ndarray  # (n, D) float64
     labels: np.ndarray  # (n,) int64
     num_classes: int
-    feature_dim: int
 
     def __post_init__(self):
+        if self.features.ndim != 2:
+            raise ConfigurationError(f"features shape {self.features.shape} is not (n, D)")
         n = self.features.shape[0]
         if n < 1:
             raise ConfigurationError("dataset must contain at least one sample")
-        if self.features.shape != (n, self.feature_dim):
-            raise ConfigurationError("features shape inconsistent with feature_dim")
         if self.labels.shape != (n,):
             raise ConfigurationError("labels shape inconsistent with features")
         if not np.all(np.isfinite(self.features)):
@@ -35,16 +34,15 @@ class Dataset:
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise ConfigurationError("label outside 0..num_classes-1")
 
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            features=self.features[indices],
-            labels=self.labels[indices],
-            num_classes=self.num_classes,
-            feature_dim=self.feature_dim,
-        )
+        return replace(self, features=self.features[indices], labels=self.labels[indices])
 
 
 def generate_synthetic(
@@ -72,7 +70,7 @@ def generate_synthetic(
         features[row : row + count] = centers[c] + rng.normal(size=(count, feature_dim))
         labels[row : row + count] = c
         row += count
-    return Dataset(features, labels, num_classes, feature_dim)
+    return Dataset(features, labels, num_classes)
 
 
 def check_synthetic_sizes(n: int, feature_dim: int, num_classes: int, margin: float) -> None:
@@ -133,7 +131,7 @@ def load_csv(path: str) -> Dataset:
     if bad.size:
         raise DataFormatError(f"line {linenos[bad[0]]}: non-finite feature value")
     labels_arr = np.asarray(labels, dtype=np.int64)
-    return Dataset(features, labels_arr, int(labels_arr.max()) + 1, features.shape[1])
+    return Dataset(features, labels_arr, int(labels_arr.max()) + 1)
 
 
 def write_csv(dataset: Dataset, path: str) -> None:

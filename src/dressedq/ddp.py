@@ -28,7 +28,7 @@ import numpy as np
 from .circuit import add_forward_evals, forward_eval_count
 from .data import Dataset, batches, shard
 from .errors import ConfigurationError, SyncError, TrainingError
-from .model import HybridModel, TrainConfig, batch_gradient, evaluate, sgd_step
+from .model import HybridModel, TrainConfig, batch_gradient, check_fits, evaluate, sgd_step
 
 
 @dataclass
@@ -89,11 +89,16 @@ def train_distributed(
     Metrics (loss over worker 0's shard, accuracy over the full train and
     validation sets) are recorded once per epoch, so they do not depend on
     N. Epoch wall time covers the epoch loop only, not dataset or model
-    construction. Every step compares the digest of the weights each worker
-    computed with against the canonical weights' digest and raises
-    SyncError naming the first worker that differs. A task that raises, or
-    a pool worker that dies, ends in TrainingError naming its worker.
+    construction. A dataset that does not fit the model raises
+    ConfigurationError before the first step. Every step compares the
+    digest of the weights each worker computed with against the canonical
+    weights' digest and raises SyncError naming the first worker that
+    differs. A task that raises, or a pool worker that dies, ends in
+    TrainingError naming its worker.
     """
+    check_fits(model, train_set)
+    if val_set is not None:
+        check_fits(model, val_set)
     n_workers = config.workers
     if parallel is None:
         parallel = n_workers > 1

@@ -151,16 +151,24 @@ def _embed(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.nda
     return z, (np.pi / 2.0) * np.tanh(z)
 
 
-def forward(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """Logits for one feature vector."""
+def _as_features(model: HybridModel, features) -> np.ndarray:
+    """features as float64, shape (D,) or (n, D); any other shape raises
+    ConfigurationError."""
     features = np.asarray(features, dtype=float)
-    if features.shape != (model.feature_dim,):
+    if features.ndim not in (1, 2) or features.shape[-1] != model.feature_dim:
         raise ConfigurationError(
-            f"features shape {features.shape} != ({model.feature_dim},)"
+            f"features shape {features.shape} != ({model.feature_dim},) "
+            f"or (n, {model.feature_dim})"
         )
+    return features
+
+
+def forward(model: HybridModel, features: np.ndarray) -> np.ndarray:
+    """Logits (C,) for one feature vector (D,), or (n, C) for n of them (n, D)."""
+    features = _as_features(model, features)
     _, embed = _embed(model, features)
     qout = quantum_forward(model.spec, model.thetas, embed)
-    return model.post_weights @ qout + model.post_bias
+    return qout @ model.post_weights.T + model.post_bias
 
 
 def _softmax_terms(
@@ -172,12 +180,6 @@ def _softmax_terms(
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return shifted, e, e.sum(axis=-1, keepdims=True)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis: logits (C,) or a batch (B, C)."""
-    _, e, e_sum = _softmax_terms(np.asarray(logits, dtype=float))
-    return e / e_sum
 
 
 def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -199,13 +201,8 @@ def backward(
     mean loss, from one param_shift_grad call over all B samples. The
     gradient is a float64 vector laid out like model.params.
     """
-    features = np.asarray(features, dtype=float)
+    features = _as_features(model, features)
     labels = np.asarray(label)
-    if features.ndim not in (1, 2) or features.shape[-1] != model.feature_dim:
-        raise ConfigurationError(
-            f"features shape {features.shape} != ({model.feature_dim},) "
-            f"or (B, {model.feature_dim})"
-        )
     if labels.shape != features.shape[:-1]:
         raise ConfigurationError(
             f"labels shape {labels.shape} does not match features {features.shape}"
@@ -273,17 +270,23 @@ def sgd_step(
     model.params -= lr * velocity
 
 
+def check_fits(model: HybridModel, dataset) -> None:
+    """Raise ConfigurationError unless the dataset has the model's width and classes."""
+    if dataset.feature_dim != model.feature_dim or dataset.num_classes > model.num_classes:
+        raise ConfigurationError(
+            f"dataset of D={dataset.feature_dim}, C={dataset.num_classes} does not fit "
+            f"a model of D={model.feature_dim}, C={model.num_classes}"
+        )
+
+
 def evaluate(model: HybridModel, dataset) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
     Argmax ties break toward the lowest class index.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    _, embeds = _embed(model, dataset.features)
-    qout = quantum_forward(model.spec, model.thetas, embeds)
-    logits = qout @ model.post_weights.T + model.post_bias
-    return int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels)) / len(dataset)
+    check_fits(model, dataset)
+    predicted = np.argmax(forward(model, dataset.features), axis=1)
+    return int(np.count_nonzero(predicted == dataset.labels)) / len(dataset)
 
 
 def save_checkpoint(model: HybridModel, path: str) -> None:

@@ -52,10 +52,10 @@ def _check_wire(state: StateVector, wire: int) -> None:
         raise IndexError(f"wire {wire} out of range for {state.num_qubits} qubits")
 
 
-def _split(state: StateVector, wire: int) -> np.ndarray:
-    """View (rows, 2^wire, 2, rest) of the amplitudes; axis 2 is the wire's bit."""
-    rest = 1 << (state.num_qubits - wire - 1)
-    return state.amplitudes.reshape(-1, 1 << wire, 2, rest)
+def _split(values: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
+    """View (rows, 2^wire, 2, rest) of a (2^q,) or (K, 2^q) array; axis 2 is
+    the wire's bit."""
+    return values.reshape(-1, 1 << wire, 2, 1 << (num_qubits - wire - 1))
 
 
 def _apply_single(state: StateVector, wire: int, gate: np.ndarray) -> None:
@@ -63,8 +63,8 @@ def _apply_single(state: StateVector, wire: int, gate: np.ndarray) -> None:
     # every row or (rows, 1, 2, 2) per row. Each (2, rest) block goes through
     # the same product whatever the row count, so a row of a batch equals
     # the single-row run bit for bit. The result replaces the old buffer.
-    shape = state.amplitudes.shape
-    state.amplitudes = np.matmul(gate, _split(state, wire)).reshape(shape)
+    amps = state.amplitudes
+    state.amplitudes = np.matmul(gate, _split(amps, state.num_qubits, wire)).reshape(amps.shape)
 
 
 _H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
@@ -135,31 +135,22 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return state
 
 
-def _z_from_p1(state: StateVector, p1: np.ndarray):
-    """1 - 2*p1 clipped to [-1, 1]; a single-row state drops the row axis."""
-    z = np.clip(1.0 - 2.0 * p1, -1.0, 1.0)
-    return z[0] if state.amplitudes.ndim == 1 else z
-
-
 def expect_z(state: StateVector, wire: int):
-    """Pauli-Z expectation on one wire: sum amp^2 * (+1/-1) by bit value.
-
-    A float for a single-row state, a length-K array for K rows.
-    """
+    """Pauli-Z expectation on one wire: a float for a single-row state, a
+    length-K array for K rows."""
     _check_wire(state, wire)
-    x1 = _split(state, wire)[:, :, 1, :]
-    z = _z_from_p1(state, np.sum(x1 * x1, axis=(1, 2)))
+    z = expect_z_all(state)[..., wire]
     return float(z) if state.amplitudes.ndim == 1 else z
 
 
 def expect_z_all(state: StateVector) -> np.ndarray:
-    """Pauli-Z expectation on every wire, shape (q,) or (K, q); probabilities
-    computed once."""
+    """Pauli-Z expectation on every wire, shape (q,) or (K, q): 1 - 2*p1
+    clipped to [-1, 1], with the probabilities computed once."""
     q = state.num_qubits
     amps = state.amplitudes
     probs = (amps * amps).reshape(-1, 1 << q)
     p1 = np.empty((probs.shape[0], q))
     for wire in range(q):
-        view = probs.reshape(-1, 1 << wire, 2, 1 << (q - wire - 1))
-        p1[:, wire] = view[:, :, 1, :].sum(axis=(1, 2))
-    return _z_from_p1(state, p1)
+        p1[:, wire] = _split(probs, q, wire)[:, :, 1, :].sum(axis=(1, 2))
+    z = np.clip(1.0 - 2.0 * p1, -1.0, 1.0)
+    return z[0] if amps.ndim == 1 else z

@@ -31,6 +31,12 @@ TINY = ["--synthetic", "40,8,2,3", "--epochs", "2", "--depth", "1", "--seed", "7
         ("--synthetic", "10,8,2,-1", "latency"),
         ("--synthetic", "10,8,2,nan", "latency"),
         ("--synthetic", "1,8,1,3", "latency"),
+        ("--epochs", "1,2", "qubits"),
+        ("--workers", "1,2", "epochs"),
+        ("--qubits", "2,3", "latency"),
+        ("--epochs", "30,60", "latency"),
+        ("--queue", "0.5", "latency"),
+        ("--job-cap", "100", "latency"),
     ],
 )
 def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, sweep):
@@ -39,6 +45,28 @@ def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, swee
         main(["--out", str(out), "--sweep", sweep, flag, value])
     assert info.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, quantity",
+    [
+        (["--budget", "0"], "budget"),
+        (["--latency", "-1"], "latencies"),
+        (["--latency", "1", "--queue", "-1"], "latencies"),
+        (["--latency", "1", "--job-cap", "-3"], "job_cap"),
+        (["--epochs", "0"], "epochs"),
+        (["--qubits", "0"], "qubits"),
+        (["--depth", "-1"], "depth"),
+    ],
+)
+def test_latency_sweep_out_of_range_value_is_an_argparse_error(tmp_path, capsys, flags, quantity):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(out), "--sweep", "latency", "--synthetic", "40,8,2,3", *flags])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and quantity in err.rpartition("error: ")[2]
     assert not out.exists()
 
 

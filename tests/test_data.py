@@ -10,7 +10,14 @@ from dressedq import (
     shard,
     write_csv,
 )
-from dressedq.data import train_val_split
+from dressedq.data import Dataset, train_val_split
+
+
+def test_dataset_width_is_its_features_width():
+    ds = Dataset(np.zeros((3, 5)), np.zeros(3, dtype=np.int64), 2)
+    assert ds.feature_dim == 5 and ds.subset(np.array([0, 2])).feature_dim == 5
+    with pytest.raises(ConfigurationError, match=r"\(3,\) is not \(n, D\)"):
+        Dataset(np.zeros(3), np.zeros(3, dtype=np.int64), 2)
 
 
 def test_synthetic_paper_scale_shape():

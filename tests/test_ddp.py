@@ -210,6 +210,19 @@ def test_too_many_workers_rejected():
         train_distributed(model, ds, config)
 
 
+@pytest.mark.parametrize("dim, classes", [(6, 2), (8, 3)])
+@pytest.mark.parametrize("misfit", ["train", "val"])
+def test_dataset_that_does_not_fit_is_rejected_before_training(misfit, dim, classes):
+    fits, model = make_problem(n=24, dim=8)
+    other = generate_synthetic(24, dim, classes, margin=3.0, seed=4)
+    train_set, val_set = (other, fits) if misfit == "train" else (fits, other)
+    config = TrainConfig(epochs=1, batch_size=4, base_lr=4e-4, workers=1, seed=1)
+    evals = forward_eval_count()
+    with pytest.raises(ConfigurationError, match=rf"D={dim}, C={classes} .* D=8, C=2"):
+        train_distributed(model, train_set, config, val_set=val_set)
+    assert forward_eval_count() == evals  # no circuit ran
+
+
 MARKER = 1234.5
 
 

@@ -33,7 +33,7 @@ def datasets(draw):
     dim = draw(st.integers(1, 5))
     features = np.array(draw(st.lists(FINITE, min_size=n * dim, max_size=n * dim)))
     labels = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
-    return Dataset(features.reshape(n, dim), labels.astype(np.int64), int(labels.max()) + 1, dim)
+    return Dataset(features.reshape(n, dim), labels.astype(np.int64), int(labels.max()) + 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -14,7 +14,6 @@ from dressedq import (
 from dressedq.circuit import CircuitSpec, quantum_forward
 from dressedq.data import Dataset
 from dressedq.errors import ConfigurationError, TrainingError
-from dressedq.model import softmax
 
 
 def zero_model(q=3, d=2, dim=5, classes=2):
@@ -28,7 +27,6 @@ def small_dataset(rng, n=12, dim=5, classes=2):
         features=rng.normal(size=(n, dim)),
         labels=rng.integers(classes, size=n).astype(np.int64),
         num_classes=classes,
-        feature_dim=dim,
     )
 
 
@@ -36,7 +34,6 @@ def test_forward_zero_model_gives_zero_logits():
     model = zero_model()
     logits = forward(model, np.ones(5))
     assert np.allclose(logits, 0.0, atol=1e-12)
-    assert np.allclose(softmax(logits), [0.5, 0.5])
 
 
 def test_forward_matches_stagewise_composition():
@@ -48,6 +45,18 @@ def test_forward_matches_stagewise_composition():
     qout = quantum_forward(model.spec, model.thetas, embed)
     expected = model.post_weights @ qout + model.post_bias
     assert np.allclose(forward(model, x), expected, atol=1e-14)
+
+
+def test_forward_on_n_samples_matches_each_sample():
+    rng = np.random.default_rng(4)
+    model = init_model(CircuitSpec(qubits=3, depth=2), 7, 3, seed=9)
+    x = rng.normal(size=(5, 7))
+    logits = forward(model, x)
+    assert logits.shape == (5, 3)
+    for row, xi in zip(logits, x):
+        assert np.allclose(row, forward(model, xi), rtol=0, atol=1e-12)
+    with pytest.raises(ConfigurationError, match=r"\(5, 6\) != \(7,\) or \(n, 7\)"):
+        forward(model, x[:, :6])
 
 
 def test_cross_entropy_uniform():
@@ -162,10 +171,10 @@ def test_sgd_step_rejects_non_finite_gradient():
 def test_evaluate_constant_predictor():
     model = zero_model(q=2, d=1, dim=3, classes=2)
     model.post_bias[0] = 1.0  # always predicts class 0
-    all_zero = Dataset(np.zeros((6, 3)), np.zeros(6, dtype=np.int64), 2, 3)
+    all_zero = Dataset(np.zeros((6, 3)), np.zeros(6, dtype=np.int64), 2)
     assert evaluate(model, all_zero) == 1.0
     balanced = Dataset(
-        np.zeros((6, 3)), np.array([0, 1, 0, 1, 0, 1], dtype=np.int64), 2, 3
+        np.zeros((6, 3)), np.array([0, 1, 0, 1, 0, 1], dtype=np.int64), 2
     )
     assert evaluate(model, balanced) == 0.5
 
@@ -179,6 +188,14 @@ def test_evaluate_matches_recount():
         if int(np.argmax(forward(model, x))) == int(y):
             correct += 1
     assert evaluate(model, ds) == correct / len(ds)
+
+
+@pytest.mark.parametrize("dim, classes", [(6, 2), (8, 3)])
+def test_evaluate_rejects_dataset_that_does_not_fit(dim, classes):
+    model = init_model(CircuitSpec(qubits=2, depth=1), 8, 2, seed=1)
+    ds = small_dataset(np.random.default_rng(5), n=6, dim=dim, classes=classes)
+    with pytest.raises(ConfigurationError, match=rf"D={dim}, C={classes} .* D=8, C=2"):
+        evaluate(model, ds)
 
 
 def test_evaluate_empty_rejected():

@@ -12,7 +12,7 @@ from dressedq import (
 )
 from dressedq.qsim import StateVector
 
-from oracle import apply_gates_sim, random_gates, run_circuit_dense
+from oracle import apply_gates_sim, expect_z_dense, random_gates, run_circuit_dense
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -129,9 +129,12 @@ def test_expect_z_after_h_then_ry(theta):
 
 def test_expect_z_all_matches_per_wire():
     rng = np.random.default_rng(11)
-    s = apply_gates_sim(new_zero_state(3), random_gates(rng, 3, 25))
-    per_wire = [expect_z(s, w) for w in range(3)]
-    assert np.allclose(expect_z_all(s), per_wire, atol=0)
+    gates = random_gates(rng, 3, 25)
+    s = apply_gates_sim(new_zero_state(3), gates)
+    dense = run_circuit_dense(gates, 3)
+    ref = [expect_z_dense(dense, w, 3) for w in range(3)]
+    assert np.allclose(expect_z_all(s), ref, rtol=0, atol=1e-12)
+    assert all(expect_z(s, w) == expect_z_all(s)[w] for w in range(3))
 
 
 def test_expect_z_bounded():
