@@ -81,10 +81,10 @@ def quantum_forward(
 
     thetas holds the trainable angles, one per (layer, wire), shape
     (depth, q). embed_angles of shape (q,) runs one circuit and returns
-    shape (q,). A batch of shape (K, q) runs K circuits as the rows of one
-    state and returns (K, q); thetas are then shared, shape (depth, q), or
-    one set per row, shape (K, depth, q). Each row's result equals the
-    single-circuit call's exactly. Counts K circuit evaluations.
+    shape (q,). A batch of shape (K, q) runs K circuits as the columns of
+    one (2^q, K) state and returns (K, q); thetas are then shared, shape
+    (depth, q), or one set per row, shape (K, depth, q). Each row's result
+    equals the single-circuit call's exactly. Counts K circuit evaluations.
     """
     global _forward_evals
     embed_angles = np.asarray(embed_angles, dtype=float)
@@ -102,8 +102,9 @@ def quantum_forward(
 
 
 def _run_rows(spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray) -> np.ndarray:
-    """The circuit layout on a (K, 2^q) state; embeds (K, q), thetas shared
-    (d, q) or per row (K, d, q)."""
+    """The circuit layout on a rows-last (2^q, K) state, circuit k in
+    column k; embeds (K, q), thetas shared (d, q) or per row (K, d, q).
+    Returns the (K, q) Z expectations."""
     q = spec.qubits
     state = qsim.new_zero_state(q, rows=len(embeds))
     for i in range(q):

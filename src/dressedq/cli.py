@@ -39,6 +39,8 @@ LATENCY_CSV_HEADER = [
     "first_failure_epoch",
 ]
 
+# The latency sweep's wall-clock budget when --budget is not given: one day.
+DEFAULT_BUDGET_S = 86400.0
 
 # The list-valued flags a training sweep can vary.
 SWEEP_AXES = ("qubits", "epochs", "workers")
@@ -109,7 +111,8 @@ def bench_latency(train_set, args) -> list[list]:
     spec = CircuitSpec(qubits=args.qubits[0], depth=args.depth)
     for profile in default_profiles(args):
         report = feasibility_report(
-            len(train_set), spec, args.epochs[0], profile, args.budget
+            len(train_set), spec, args.epochs[0], profile,
+            DEFAULT_BUDGET_S if args.budget is None else args.budget,
         )
         print(format_report(report))
         print()
@@ -172,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-job queue seconds for the custom profile (default 0)")
     p.add_argument("--job-cap", type=int, default=None,
                    help="max jobs the custom backend accepts before failing")
-    p.add_argument("--budget", type=float, default=86400.0,
-                   help="wall-clock budget in seconds for feasibility")
+    p.add_argument("--budget", type=float, default=None,
+                   help="wall-clock budget in seconds for feasibility "
+                        f"(default {DEFAULT_BUDGET_S:g})")
     return p
 
 
@@ -184,6 +188,9 @@ def main(argv=None) -> str:
     for axis in SWEEP_AXES:
         if axis != args.sweep and len(getattr(args, axis)) > 1:
             parser.error(f"argument --{axis}: --sweep {args.sweep} takes one value")
+    for flag, value in (("--latency", args.latency), ("--budget", args.budget)):
+        if value is not None and args.sweep != "latency":
+            parser.error(f"argument {flag}: applies only with --sweep latency")
     for flag, value in (("--queue", args.queue), ("--job-cap", args.job_cap)):
         if value is not None and args.latency is None:
             parser.error(f"argument {flag}: applies only with --latency")

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigurationError, DataFormatError
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     features: np.ndarray  # (n, D) float64
     labels: np.ndarray  # (n,) int64

@@ -5,8 +5,12 @@ Conventions:
   q=3 the basis state |100> (wire 0 set) lives at index 4.
 - Amplitudes are float64: every gate in the set is real, so a register
   started in |0...0> stays real. A state holds one row of 2^q amplitudes,
-  shape (2^q,), or K independent rows, shape (K, 2^q). Every gate acts on
-  all rows at once; RY takes one angle for all rows or one angle per row.
+  shape (2^q,), or K independent rows stored rows-last, shape (2^q, K):
+  row k is column k. Every gate acts on all rows at once as a few
+  elementwise passes whose inner loop runs over the K values of one basis
+  state; RY takes one angle for all rows or one angle per row.
+- Each amplitude goes through the same arithmetic whatever the row count,
+  so a row of a batch equals its single-row run bit for bit.
 - Gates act through axis views of the amplitude array; no full 2^q x 2^q
   matrix is ever built here (the dense Kronecker oracle lives in the test
   suite only).
@@ -27,23 +31,28 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class StateVector:
-    """A register of `num_qubits` qubits as 2^q real amplitudes per row."""
+    """A register of `num_qubits` qubits: amplitudes of shape (2^q,) for one
+    row, or (2^q, K) for K rows, row k being column k.
+
+    The amplitudes are kept C-contiguous float64 (a copy is made if need
+    be): the gates write through reshaped views of them.
+    """
 
     __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray):
         self.num_qubits = num_qubits
-        self.amplitudes = amplitudes
+        self.amplitudes = np.ascontiguousarray(amplitudes, dtype=float)
 
 
 def new_zero_state(num_qubits: int, rows: int | None = None) -> StateVector:
-    """|0...0> as one row of shape (2^q,), or as `rows` rows of shape (rows, 2^q)."""
+    """|0...0> as one row of shape (2^q,), or as `rows` rows of shape (2^q, rows)."""
     if not (1 <= num_qubits <= MAX_QUBITS):
         raise ConfigurationError(
             f"qubit count {num_qubits} outside supported range 1..{MAX_QUBITS}"
         )
-    amps = np.zeros(1 << num_qubits if rows is None else (rows, 1 << num_qubits))
-    amps[..., 0] = 1.0
+    amps = np.zeros(1 << num_qubits if rows is None else (1 << num_qubits, rows))
+    amps[0] = 1.0
     return StateVector(num_qubits, amps)
 
 
@@ -52,38 +61,33 @@ def _check_wire(state: StateVector, wire: int) -> None:
         raise IndexError(f"wire {wire} out of range for {state.num_qubits} qubits")
 
 
-def _split(values: np.ndarray, num_qubits: int, wire: int) -> np.ndarray:
-    """View (rows, 2^wire, 2, rest) of a (2^q,) or (K, 2^q) array; axis 2 is
-    the wire's bit."""
-    return values.reshape(-1, 1 << wire, 2, 1 << (num_qubits - wire - 1))
-
-
-def _apply_single(state: StateVector, wire: int, gate: np.ndarray) -> None:
-    # One 2x2 matmul over the paired amplitude strides: `gate` is (2, 2) for
-    # every row or (rows, 1, 2, 2) per row. Each (2, rest) block goes through
-    # the same product whatever the row count, so a row of a batch equals
-    # the single-row run bit for bit. The result replaces the old buffer.
-    amps = state.amplitudes
-    state.amplitudes = np.matmul(gate, _split(amps, state.num_qubits, wire)).reshape(amps.shape)
-
-
-_H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
+def _split(values: np.ndarray, wire: int) -> np.ndarray:
+    """View (2^wire, 2, rest) of a (2^q,) or (2^q, K) array, the rows folded
+    into the last axis; axis 1 is the wire's bit."""
+    return values.reshape(1 << wire, 2, -1)
 
 
 def apply_h(state: StateVector, wire: int) -> StateVector:
-    """Hadamard on one wire of every row."""
+    """Hadamard on one wire of every row, in place: (a0 + a1, a0 - a1) of
+    the amplitudes scaled by 2^-1/2."""
     _check_wire(state, wire)
-    _apply_single(state, wire, _H)
+    amps = state.amplitudes
+    scaled = amps * _INV_SQRT2
+    view, other = _split(amps, wire), _split(scaled, wire)
+    a0, a1 = other[:, 0], other[:, 1]
+    np.add(a0, a1, view[:, 0])
+    np.subtract(a0, a1, view[:, 1])
     return state
 
 
 def apply_ry(state: StateVector, wire: int, theta) -> StateVector:
-    """Y-axis rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]].
+    """Y-axis rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]], in place.
 
     `theta` is one angle for every row, or a length-K vector with one
-    angle per row of a (K, 2^q) state.
+    angle per row of a (2^q, K) state.
     """
     _check_wire(state, wire)
+    amps = state.amplitudes
     if not isinstance(theta, float):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim == 0:
@@ -95,21 +99,24 @@ def apply_ry(state: StateVector, wire: int, theta) -> StateVector:
         if not math.isfinite(half):
             raise ValueError(f"non-finite rotation angle: {theta!r}")
         c, s = math.cos(half), math.sin(half)
-        gate = np.array((c, -s, s, c)).reshape(2, 2)
     else:
-        rows = state.amplitudes.shape[0] if state.amplitudes.ndim == 2 else 1
+        rows = amps.shape[1] if amps.ndim == 2 else 1
         if theta.shape != (rows,):
             raise ValueError(f"{theta.shape} rotation angles for {rows} state rows")
         half = theta / 2.0
-        if not np.isfinite(half).all():
+        # count_nonzero reads a (K,) mask faster than ndarray.all does.
+        if np.count_nonzero(np.isfinite(half)) < rows:
             raise ValueError(f"non-finite rotation angle in {theta!r}")
         c, s = np.cos(half), np.sin(half)
-        gate = np.empty((rows, 1, 2, 2))
-        gate[:, 0, 0, 0] = c
-        gate[:, 0, 0, 1] = -s
-        gate[:, 0, 1, 0] = s
-        gate[:, 0, 1, 1] = c
-    _apply_single(state, wire, gate)
+    # (c*a0 - s*a1, s*a0 + c*a1): c and s broadcast along the rows axis of
+    # the whole array, then the two halves of the wire split combine.
+    scaled = amps * s
+    amps *= c
+    view, other = _split(amps, wire), _split(scaled, wire)
+    a0 = view[:, 0]
+    np.subtract(a0, other[:, 1], a0)
+    a1 = view[:, 1]
+    np.add(a1, other[:, 0], a1)
     return state
 
 
@@ -120,18 +127,17 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     if control == target:
         raise IndexError(f"control and target coincide (wire {control})")
     lo, hi = sorted((control, target))
-    # Nested split over both wires: axes 2 and 4 carry the two bits. Within
-    # the control-set half, reversing the target axis swaps the amplitude
-    # pairs; numpy copies the overlapping source before assigning.
-    view = state.amplitudes.reshape(
-        -1, 1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (state.num_qubits - hi - 1)
-    )
+    # Nested split over both wires, rows folded into the last axis: axes 1
+    # and 3 carry the two bits. Within the control-set half, reversing the
+    # target axis swaps the amplitude pairs; numpy copies the overlapping
+    # source before assigning.
+    view = state.amplitudes.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
     if control < target:
-        control_set = view[:, :, 1]
-        control_set[...] = control_set[:, :, :, ::-1]
-    else:
-        control_set = view[:, :, :, :, 1]
+        control_set = view[:, 1]
         control_set[...] = control_set[:, :, ::-1]
+    else:
+        control_set = view[:, :, :, 1]
+        control_set[...] = control_set[:, ::-1]
     return state
 
 
@@ -145,12 +151,25 @@ def expect_z(state: StateVector, wire: int):
 
 def expect_z_all(state: StateVector) -> np.ndarray:
     """Pauli-Z expectation on every wire, shape (q,) or (K, q): 1 - 2*p1
-    clipped to [-1, 1], with the probabilities computed once."""
+    clipped to [-1, 1].
+
+    The probabilities fold one wire at a time, most significant first. A
+    step adds the wire-set half of every partial sum onto its wire-clear
+    half and keeps the wire-set half of the running total as that wire's
+    partial p1. Every step is elementwise, so each row sums in the same
+    order whatever K is.
+    """
     q = state.num_qubits
     amps = state.amplitudes
-    probs = (amps * amps).reshape(-1, 1 << q)
-    p1 = np.empty((probs.shape[0], q))
-    for wire in range(q):
-        p1[:, wire] = _split(probs, q, wire)[:, :, 1, :].sum(axis=(1, 2))
-    z = np.clip(1.0 - 2.0 * p1, -1.0, 1.0)
+    # (basis states left, [total, p1 of each folded wire], rows): the
+    # halves of the first axis are contiguous blocks.
+    sums = (amps * amps).reshape(1 << q, 1, -1)
+    size = 1 << q
+    for _ in range(q):
+        size >>= 1
+        lo, hi = sums[:size], sums[size:]
+        sums = np.concatenate((lo + hi, hi[:, :1]), axis=1)
+    # p1 >= 0, so 1 - 2*p1 <= 1 and only the lower bound can be crossed.
+    z = 1.0 - 2.0 * sums[0, 1:].T
+    np.maximum(z, -1.0, out=z)
     return z[0] if amps.ndim == 1 else z

@@ -24,7 +24,7 @@ from dressedq import circuit, model
 from dressedq.circuit import CircuitSpec, forward_eval_count
 from dressedq.model import batch_gradient
 
-from oracle import run_circuit_dense
+from oracle import random_gates, run_circuit_dense
 
 ANGLES = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
 
@@ -78,15 +78,42 @@ def apply_all(state, gates):
 def test_rows_match_single_runs_and_oracle(case):
     q, k, gates = case
     batched = apply_all(new_zero_state(q, rows=k), gates)
-    assert batched.amplitudes.shape == (k, 1 << q)
+    assert batched.amplitudes.shape == (1 << q, k)
     z_batched = expect_z_all(batched)
     for row in range(k):
         single = apply_all(new_zero_state(q), row_gates(gates, row))
-        assert np.array_equal(batched.amplitudes[row], single.amplitudes)
+        assert np.array_equal(batched.amplitudes[:, row], single.amplitudes)
         assert np.array_equal(z_batched[row], expect_z_all(single))
         oracle = run_circuit_dense(row_gates(gates, row), q)
         assert np.max(np.abs(single.amplitudes - oracle)) < 1e-12
-        assert abs(np.linalg.norm(batched.amplitudes[row]) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(batched.amplitudes[:, row]) - 1.0) < 1e-12
+
+
+def seeded_gates(q, k, count, seed):
+    """H on every wire, then `count` random gates in which every other RY
+    carries k per-row angles in place of its shared one."""
+    rng = np.random.default_rng(seed)
+    gates = [("h", w) for w in range(q)] + random_gates(rng, q, count)
+    return [
+        ("ry", g[1], rng.uniform(-np.pi, np.pi, k)) if g[0] == "ry" and i % 2 else g
+        for i, g in enumerate(gates)
+    ]
+
+
+@pytest.mark.parametrize("q, k", [(1, 1), (2, 1), (5, 1), (9, 1), (12, 3)])
+def test_rows_are_columns_equal_to_single_row_runs(q, k):
+    # One-row batches against the (2^q,) run, and at q=12 rows of 4096
+    # amplitudes: sums long enough for numpy's unrolled and pairwise
+    # reductions, which hypothesis's q <= 6 never reaches.
+    gates = seeded_gates(q, k, 60, seed=q)
+    batched = apply_all(new_zero_state(q, rows=k), gates)
+    assert batched.amplitudes.shape == (1 << q, k)
+    z_batched = expect_z_all(batched)
+    assert z_batched.shape == (k, q)
+    for row in range(k):
+        single = apply_all(new_zero_state(q), row_gates(gates, row))
+        assert np.array_equal(batched.amplitudes[:, row], single.amplitudes)
+        assert np.array_equal(z_batched[row], expect_z_all(single))
 
 
 @st.composite
@@ -143,7 +170,7 @@ def test_chunked_batch_equals_single_chunk(monkeypatch):
 
 
 def test_ry_angle_count_must_match_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="for 3 state rows"):
         apply_ry(new_zero_state(2, rows=3), 0, np.zeros(2))
     with pytest.raises(ValueError):
         apply_ry(new_zero_state(2, rows=2), 0, np.array([0.1, np.nan]))

@@ -37,6 +37,10 @@ TINY = ["--synthetic", "40,8,2,3", "--epochs", "2", "--depth", "1", "--seed", "7
         ("--epochs", "30,60", "latency"),
         ("--queue", "0.5", "latency"),
         ("--job-cap", "100", "latency"),
+        ("--latency", "5", "qubits"),
+        ("--budget", "1", "qubits"),
+        ("--latency", "5", "epochs"),
+        ("--budget", "1", "workers"),
     ],
 )
 def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, sweep):

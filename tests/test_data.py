@@ -20,6 +20,13 @@ def test_dataset_width_is_its_features_width():
         Dataset(np.zeros(3), np.zeros(3, dtype=np.int64), 2)
 
 
+def test_datasets_compare_by_identity():
+    a = generate_synthetic(10, 4, 2, 3.0, seed=1)
+    b = generate_synthetic(10, 4, 2, 3.0, seed=1)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_synthetic_paper_scale_shape():
     ds = generate_synthetic(4145, 512, 3, margin=3.0, seed=7)
     assert ds.features.shape == (4145, 512)

@@ -174,6 +174,18 @@ def test_gate_algebra_involutions():
     assert np.max(np.abs(s.amplitudes - before)) < 1e-12
 
 
+def test_gates_act_on_non_contiguous_amplitudes():
+    # The gates write through reshaped views, which a Fortran-ordered array
+    # would turn into copies; StateVector takes a contiguous copy instead.
+    rng = np.random.default_rng(31)
+    gates = random_gates(rng, 3, 12) + [("ry", 1, np.array([0.3, -1.1, 2.0]))]
+    base = apply_gates_sim(new_zero_state(3, rows=3), gates)
+    more = [("cnot", 0, 2), ("h", 1), ("ry", 2, 0.4)]
+    fortran = apply_gates_sim(StateVector(3, np.asfortranarray(base.amplitudes)), more)
+    contiguous = apply_gates_sim(StateVector(3, base.amplitudes.copy()), more)
+    assert np.array_equal(fortran.amplitudes, contiguous.amplitudes)
+
+
 def test_ry_angles_add():
     rng = np.random.default_rng(29)
     base = apply_gates_sim(new_zero_state(2), random_gates(rng, 2, 10))
