@@ -20,7 +20,7 @@ import time
 from .circuit import CircuitSpec
 from .data import Dataset, check_synthetic_sizes, generate_synthetic, load_csv, train_val_split
 from .ddp import train_distributed
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataFormatError
 from .latency import BackendProfile, feasibility_report, format_report
 from .model import TrainConfig, init_model
 
@@ -197,7 +197,11 @@ def main(argv=None) -> str:
     out = args.out or f"{args.sweep}-{time.strftime('%Y%m%d-%H%M%S')}.csv"
 
     if args.dataset:
-        flag, dataset = "--dataset", load_csv(args.dataset)
+        flag = "--dataset"
+        try:
+            dataset = load_csv(args.dataset)
+        except (OSError, DataFormatError) as exc:
+            parser.error(f"argument {flag}: {exc}")
     else:
         flag, dataset = "--synthetic", generate_synthetic(*args.synthetic, args.seed)
     try:

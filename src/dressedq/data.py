@@ -4,7 +4,11 @@ All randomness goes through numpy's PCG64 seeded from explicit integers,
 so datasets and shards reproduce exactly across runs and platforms.
 
 CSV layout: one sample per line, integer label first, then the D feature
-values as decimal floats. No header, UTF-8, LF endings.
+values as decimal floats. No header, UTF-8, LF endings. `load_csv` skips
+blank lines and parses each line straight into the (n, D) float64 and
+(n,) int64 arrays, about 8 bytes per value; a line it cannot read
+(wrong width, bad or negative label, bad or non-finite value) raises
+DataFormatError naming its 1-based line number.
 """
 from __future__ import annotations
 
@@ -95,11 +99,12 @@ def _simplex_directions(rng, num_classes: int, feature_dim: int) -> np.ndarray:
 
 
 def load_csv(path: str) -> Dataset:
-    """Parse a dataset file; class count is inferred as max label + 1."""
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    linenos: list[int] = []
+    """Parse a dataset file; class count is inferred as max label + 1.
+
+    Fields go straight into arrays that double in length as rows arrive."""
+    labels = np.empty(64, dtype=np.int64)
     width = None
+    row = 0
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -110,28 +115,30 @@ def load_csv(path: str) -> Dataset:
                 width = len(fields)
                 if width < 2:
                     raise DataFormatError(f"line {lineno}: need label plus features")
+                features = np.empty((len(labels), width - 1))
             elif len(fields) != width:
                 raise DataFormatError(
                     f"line {lineno}: expected {width} fields, got {len(fields)}"
                 )
+            if row == len(labels):
+                # No view of either array exists yet, so resizing in place is safe.
+                labels.resize(2 * row, refcheck=False)
+                features.resize((2 * row, width - 1), refcheck=False)
             try:
-                label = int(fields[0])
-                values = [float(v) for v in fields[1:]]
-            except ValueError as exc:
+                labels[row] = label = int(fields[0])
+                features[row] = fields[1:]
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
             if label < 0:
                 raise DataFormatError(f"line {lineno}: negative label {label}")
-            labels.append(label)
-            rows.append(values)
-            linenos.append(lineno)
-    if not rows:
+            if not np.isfinite(features[row]).all():
+                raise DataFormatError(f"line {lineno}: non-finite feature value")
+            row += 1
+    if width is None:
         raise DataFormatError("empty dataset file")
-    features = np.asarray(rows, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise DataFormatError(f"line {linenos[bad[0]]}: non-finite feature value")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    return Dataset(features, labels_arr, int(labels_arr.max()) + 1)
+    labels.resize(row, refcheck=False)
+    features.resize((row, width - 1), refcheck=False)
+    return Dataset(features, labels, int(labels.max()) + 1)
 
 
 def write_csv(dataset: Dataset, path: str) -> None:

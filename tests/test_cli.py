@@ -41,6 +41,7 @@ TINY = ["--synthetic", "40,8,2,3", "--epochs", "2", "--depth", "1", "--seed", "7
         ("--budget", "1", "qubits"),
         ("--latency", "5", "epochs"),
         ("--budget", "1", "workers"),
+        ("--dataset", "missing-dir/data.csv", "qubits"),
     ],
 )
 def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, sweep):
@@ -49,6 +50,17 @@ def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, swee
         main(["--out", str(out), "--sweep", sweep, flag, value])
     assert info.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_dataset_file_is_an_argparse_error(tmp_path, capsys):
+    data_path = tmp_path / "bad.csv"
+    data_path.write_text("0,1.0\n1,abc\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(out), "--sweep", "qubits", "--dataset", str(data_path)])
+    assert info.value.code == 2
+    assert "argument --dataset: line 2: could not convert" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,49 @@ def test_load_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataFormatError):
         load_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("0,1.0\n-1,2.0\n", "line 2: negative label -1"),
+        ("\n5\n0,1.0\n", "line 2: need label plus features"),
+        ("\n  \n\t\n", "empty dataset file"),
+        ("1.5,2.0\n", "line 1: invalid literal"),
+        ("0,1.0,2.0\n\n1,3.0\n", "line 3: expected 3 fields, got 2"),
+        ("0,1.0\n99999999999999999999,2.0\n", "line 2: .*too large"),
+    ],
+    ids=["negative-label", "one-field", "blank-file", "float-label", "ragged-after-blank",
+         "label-overflow"],
+)
+def test_load_csv_rejects_line(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=match):
+        load_csv(str(path))
+
+
+def test_load_csv_ignores_trailing_blank_lines(tmp_path):
+    ds = generate_synthetic(70, 5, 3, margin=2.0, seed=12)
+    path = tmp_path / "trail.csv"
+    write_csv(ds, str(path))
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("\n  \n\n")
+    back = load_csv(str(path))
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_load_csv_peak_memory_is_near_the_array(tmp_path):
+    path = str(tmp_path / "big.csv")
+    write_csv(generate_synthetic(2000, 64, 2, margin=3.0, seed=4), path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ds.features.nbytes
 
 
 def test_shard_single_worker_covers_everything():
