@@ -29,7 +29,6 @@ from .qsim import (
     apply_cnot,
     apply_h,
     apply_ry,
-    expect_z,
     expect_z_all,
     new_zero_state,
 )

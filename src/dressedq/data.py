@@ -4,11 +4,11 @@ All randomness goes through numpy's PCG64 seeded from explicit integers,
 so datasets and shards reproduce exactly across runs and platforms.
 
 CSV layout: one sample per line, integer label first, then the D feature
-values as decimal floats. No header, UTF-8, LF endings. `load_csv` skips
-blank lines and parses each line straight into the (n, D) float64 and
-(n,) int64 arrays, about 8 bytes per value; a line it cannot read
-(wrong width, bad or negative label, bad or non-finite value) raises
-DataFormatError naming its 1-based line number.
+values as decimal floats. No header, UTF-8, LF or CRLF endings. `load_csv`
+skips blank lines and parses each line straight into the (n, D) float64
+and (n,) int64 arrays, about 8 bytes per value; a line it cannot read
+(not UTF-8, wrong width, bad or negative label, bad or non-finite value)
+raises DataFormatError naming its 1-based line number.
 """
 from __future__ import annotations
 
@@ -105,34 +105,33 @@ def load_csv(path: str) -> Dataset:
     labels = np.empty(64, dtype=np.int64)
     width = None
     row = 0
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise DataFormatError(f"line {lineno}: need label plus features")
-                features = np.empty((len(labels), width - 1))
-            elif len(fields) != width:
-                raise DataFormatError(
-                    f"line {lineno}: expected {width} fields, got {len(fields)}"
-                )
-            if row == len(labels):
-                # No view of either array exists yet, so resizing in place is safe.
-                labels.resize(2 * row, refcheck=False)
-                features.resize((2 * row, width - 1), refcheck=False)
+            # Each check raises ValueError, as does bad UTF-8; the handler adds the line.
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if width is None:
+                    width = len(fields)
+                    if width < 2:
+                        raise ValueError("need label plus features")
+                    features = np.empty((len(labels), width - 1))
+                elif len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                if row == len(labels):
+                    # No view of either array exists yet, so resizing in place is safe.
+                    labels.resize(2 * row, refcheck=False)
+                    features.resize((2 * row, width - 1), refcheck=False)
                 labels[row] = label = int(fields[0])
                 features[row] = fields[1:]
+                if label < 0:
+                    raise ValueError(f"negative label {label}")
+                if not np.isfinite(features[row]).all():
+                    raise ValueError("non-finite feature value")
             except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
-            if label < 0:
-                raise DataFormatError(f"line {lineno}: negative label {label}")
-            if not np.isfinite(features[row]).all():
-                raise DataFormatError(f"line {lineno}: non-finite feature value")
             row += 1
     if width is None:
         raise DataFormatError("empty dataset file")

@@ -1,9 +1,9 @@
-"""Data-parallel training: lockstep workers, deterministic tree allreduce.
+"""Data-parallel training: lockstep workers, fixed-order allreduce.
 
 Training holds one canonical model and one velocity buffer. Per step, every
 worker computes the mean gradient over its own batch with the canonical
-weights, the gradients are averaged in a fixed pairwise tree over ascending
-worker ids, and one update is applied. Equal shard sizes mean equal batch
+weights, the gradients are summed in ascending worker id and scaled to a
+mean, and one update is applied. Equal shard sizes mean equal batch
 counts, so workers stay in lockstep by construction. Each worker returns a
 CRC-32 of the weights it used, which every step compares with the canonical
 weights' CRC-32.
@@ -41,11 +41,10 @@ class EpochMetrics:
 
 
 def allreduce_mean(per_worker_grads: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the workers' gradient vectors, reduced in a fixed
-    pairwise tree.
+    """Elementwise mean of the workers' gradient vectors, summed in
+    ascending worker id and then scaled by 1/N.
 
-    The tree pairs ascending ids ((0,1),(2,3),...) and repeats on the
-    partial sums, so the result never depends on worker scheduling. A
+    The fixed order makes the result independent of worker scheduling. A
     vector whose shape differs from worker 0's raises SyncError naming its
     worker.
     """
@@ -57,13 +56,7 @@ def allreduce_mean(per_worker_grads: list[np.ndarray]) -> np.ndarray:
             raise SyncError(
                 f"gradient shape mismatch from worker {wid}: {g.shape} != {shape}"
             )
-    level = per_worker_grads
-    while len(level) > 1:
-        merged = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2 == 1:
-            merged.append(level[-1])
-        level = merged
-    return level[0] * (1.0 / len(per_worker_grads))
+    return sum(per_worker_grads[1:], per_worker_grads[0]) * (1.0 / len(per_worker_grads))
 
 
 def _grad_task(payload) -> tuple[np.ndarray, float, int, int]:

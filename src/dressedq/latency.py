@@ -22,8 +22,8 @@ class BackendProfile:
     job_cap: int | None = None  # max jobs before submissions fail
 
     def __post_init__(self):
-        if self.mean_job_latency < 0 or self.queue_overhead < 0:
-            raise ValueError("latencies must be nonnegative")
+        if not (0 <= self.mean_job_latency < math.inf and 0 <= self.queue_overhead < math.inf):
+            raise ValueError("latencies must be nonnegative and finite")
         if self.job_cap is not None and self.job_cap < 0:
             raise ValueError(f"job_cap must be nonnegative, got {self.job_cap}")
 
@@ -66,8 +66,8 @@ def feasibility_report(
     profile: BackendProfile,
     budget_seconds: float,
 ) -> FeasibilityReport:
-    if budget_seconds <= 0:
-        raise ValueError("budget must be positive")
+    if not budget_seconds > 0:  # False for NaN
+        raise ValueError(f"budget must be positive, got {budget_seconds}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     per_epoch = jobs_per_epoch(n_train, spec)

@@ -110,8 +110,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.workers < 1:
             raise ConfigurationError("epochs, batch_size and workers must be >= 1")
-        if self.base_lr <= 0:
-            raise ConfigurationError("base_lr must be positive")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigurationError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not 0 <= self.momentum < math.inf:
+            raise ConfigurationError(f"momentum must be finite and >= 0, got {self.momentum}")
         if self.lr_scaling not in ("linear", "none"):
             raise ConfigurationError(f"unknown lr_scaling {self.lr_scaling!r}")
 
@@ -131,18 +133,17 @@ def init_model(
     PRNG is PCG64 so runs reproduce bit-for-bit across platforms.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    q, d = spec.qubits, spec.depth
     pre_bound = 1.0 / np.sqrt(feature_dim)
-    post_bound = 1.0 / np.sqrt(q)
-    blocks = [
-        rng.uniform(-pre_bound, pre_bound, size=(q, feature_dim)),
-        rng.uniform(-pre_bound, pre_bound, size=q),
-        rng.normal(0.0, 0.01, size=(d, q)),
-        rng.uniform(-post_bound, post_bound, size=(num_classes, q)),
-        rng.uniform(-post_bound, post_bound, size=num_classes),
-    ]
-    params = np.concatenate([block.ravel() for block in blocks])
-    return HybridModel(spec, feature_dim, num_classes, params)
+    post_bound = 1.0 / np.sqrt(spec.qubits)
+    size = _param_count(spec, feature_dim, num_classes)
+    model = HybridModel(spec, feature_dim, num_classes, np.empty(size))
+    # One draw per block in params order: the order fixes every seeded model.
+    model.pre_weights[...] = rng.uniform(-pre_bound, pre_bound, model.pre_weights.shape)
+    model.pre_bias[...] = rng.uniform(-pre_bound, pre_bound, model.pre_bias.shape)
+    model.thetas[...] = rng.normal(0.0, 0.01, model.thetas.shape)
+    model.post_weights[...] = rng.uniform(-post_bound, post_bound, model.post_weights.shape)
+    model.post_bias[...] = rng.uniform(-post_bound, post_bound, model.post_bias.shape)
+    return model
 
 
 def _embed(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,11 +183,23 @@ def _softmax_terms(
     return shifted, e, e.sum(axis=-1, keepdims=True)
 
 
+def _class_indices(labels, num_classes: int) -> np.ndarray:
+    """Labels as intp class indices; one out of range, NaN too, or not whole raises ValueError."""
+    labels = np.asarray(labels)
+    ok = (labels >= 0) & (labels < num_classes)  # False for NaN
+    if not ok.all():
+        raise ValueError(f"label {labels[~ok].ravel()[0]} out of range for {num_classes} classes")
+    indices = labels.astype(np.intp)
+    # Bool and integer labels are whole by type; skipping them keeps the step cheap.
+    if labels.dtype.kind not in "biu" and not (indices == labels).all():
+        raise ValueError(f"label {labels[indices != labels].ravel()[0]} is not a whole number")
+    return indices
+
+
 def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
     """-log softmax(logits)[label], stable under large logits."""
     logits = np.asarray(logits, dtype=float)
-    if not (0 <= label < logits.shape[0]):
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
+    label = _class_indices(label, logits.shape[0])
     shifted, _, e_sum = _softmax_terms(logits)
     return float(np.log(e_sum[0]) - shifted[label])
 
@@ -209,13 +222,9 @@ def backward(
         )
     if labels.size == 0:
         raise ConfigurationError("empty batch")
-    in_range = (labels >= 0) & (labels < model.num_classes)  # False for NaN
-    if not in_range.all():
-        bad = labels[~in_range].ravel()[0]
-        raise ValueError(f"label {bad} out of range for {model.num_classes} classes")
 
     feats = features.reshape(-1, model.feature_dim)
-    labels = labels.reshape(-1).astype(np.intp)
+    labels = _class_indices(labels, model.num_classes).reshape(-1)
     rows = np.arange(len(labels))
     z, embed = _embed(model, feats)  # (B, q)
     jac_thetas, jac_embed, qout = param_shift_grad(model.spec, model.thetas, embed)
@@ -261,8 +270,8 @@ def sgd_step(
     """In-place momentum SGD on whole vectors: v <- momentum*v + g;
     params <- params - lr*v. grad and velocity are laid out like
     model.params; a non-finite gradient raises TrainingError."""
-    if lr <= 0:
-        raise ConfigurationError("learning rate must be positive")
+    if not 0 < lr < math.inf:
+        raise ConfigurationError(f"learning rate must be positive and finite, got {lr}")
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; aborting training")
     velocity *= momentum

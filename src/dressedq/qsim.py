@@ -31,8 +31,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class StateVector:
-    """A register of `num_qubits` qubits: amplitudes of shape (2^q,) for one
-    row, or (2^q, K) for K rows, row k being column k.
+    """A register of q qubits: amplitudes of shape (2^q,) for one row, or
+    (2^q, K) for K rows, row k being column k. `num_qubits` is q, read off
+    the length: a power of two from 2 to 2^MAX_QUBITS, else ConfigurationError.
 
     The amplitudes are kept C-contiguous float64 (a copy is made if need
     be): the gates write through reshaped views of them.
@@ -40,8 +41,14 @@ class StateVector:
 
     __slots__ = ("num_qubits", "amplitudes")
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray):
-        self.num_qubits = num_qubits
+    def __init__(self, amplitudes: np.ndarray):
+        shape = np.shape(amplitudes)
+        length = shape[0] if len(shape) in (1, 2) else 0
+        self.num_qubits = q = length.bit_length() - 1
+        if not (1 <= q <= MAX_QUBITS and length == 1 << q):
+            raise ConfigurationError(
+                f"amplitudes shape {shape} is not (2^q,) or (2^q, K) for q in 1..{MAX_QUBITS}"
+            )
         self.amplitudes = np.ascontiguousarray(amplitudes, dtype=float)
 
 
@@ -53,7 +60,7 @@ def new_zero_state(num_qubits: int, rows: int | None = None) -> StateVector:
         )
     amps = np.zeros(1 << num_qubits if rows is None else (1 << num_qubits, rows))
     amps[0] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector(amps)
 
 
 def _check_wire(state: StateVector, wire: int) -> None:
@@ -139,14 +146,6 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
         control_set = view[:, :, :, 1]
         control_set[...] = control_set[:, ::-1]
     return state
-
-
-def expect_z(state: StateVector, wire: int):
-    """Pauli-Z expectation on one wire: a float for a single-row state, a
-    length-K array for K rows."""
-    _check_wire(state, wire)
-    z = expect_z_all(state)[..., wire]
-    return float(z) if state.amplitudes.ndim == 1 else z
 
 
 def expect_z_all(state: StateVector) -> np.ndarray:

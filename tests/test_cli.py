@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from dressedq.circuit import forward_eval_count
 from dressedq.cli import LATENCY_CSV_HEADER, RUN_CSV_HEADER, main
 
 
@@ -64,6 +65,17 @@ def test_malformed_dataset_file_is_an_argparse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_utf8_dataset_file_is_an_argparse_error(tmp_path, capsys):
+    data_path = tmp_path / "latin1.csv"
+    data_path.write_bytes(b"0,1.0\n1,\xff2.0\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(out), "--sweep", "qubits", "--dataset", str(data_path)])
+    assert info.value.code == 2
+    assert "argument --dataset: line 2: 'utf-8' codec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, quantity",
     [
@@ -74,6 +86,10 @@ def test_malformed_dataset_file_is_an_argparse_error(tmp_path, capsys):
         (["--epochs", "0"], "epochs"),
         (["--qubits", "0"], "qubits"),
         (["--depth", "-1"], "depth"),
+        (["--latency", "nan"], "latencies"),
+        (["--latency", "inf"], "latencies"),
+        (["--latency", "1", "--queue", "nan"], "latencies"),
+        (["--budget", "nan"], "budget"),
     ],
 )
 def test_latency_sweep_out_of_range_value_is_an_argparse_error(tmp_path, capsys, flags, quantity):
@@ -102,6 +118,15 @@ def test_qubit_sweep_failure_row_continues(tmp_path):
     assert len(rows) == 3
     assert rows[1][-1] == "ConfigurationError"
     assert rows[2][-1] == "ok"
+
+
+def test_non_finite_lr_fails_its_row_before_any_step(tmp_path):
+    before = forward_eval_count()
+    rows = run_cli(
+        tmp_path, "q.csv", "--sweep", "qubits", "--qubits", "2", "--lr", "nan", *TINY
+    )
+    assert rows[1][-1] == "ConfigurationError"
+    assert forward_eval_count() == before
 
 
 def test_epoch_sweep(tmp_path):

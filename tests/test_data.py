@@ -152,6 +152,23 @@ def test_load_csv_rejects_line(tmp_path, text, match):
         load_csv(str(path))
 
 
+def test_load_csv_non_utf8_names_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"0,1.0\n1,\xff2.0\n")
+    with pytest.raises(DataFormatError, match="line 2: 'utf-8' codec can't decode"):
+        load_csv(str(path))
+
+
+def test_load_csv_crlf_loads_like_lf(tmp_path):
+    ds = generate_synthetic(30, 4, 3, margin=2.0, seed=9)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_csv(ds, str(lf))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    back = load_csv(str(crlf))
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
 def test_load_csv_ignores_trailing_blank_lines(tmp_path):
     ds = generate_synthetic(70, 5, 3, margin=2.0, seed=12)
     path = tmp_path / "trail.csv"

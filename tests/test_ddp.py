@@ -41,6 +41,16 @@ def test_scale_lr():
         TrainConfig(base_lr=0.1, workers=2, lr_scaling="sqrt")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("base_lr", np.nan), ("base_lr", np.inf), ("momentum", np.nan), ("momentum", np.inf),
+     ("momentum", -0.1)],
+)
+def test_config_rejects_non_finite_or_negative_rates(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_allreduce_opposite_gradients_cancel():
     _, model = make_problem()
     g = random_grads(np.random.default_rng(1), model)
@@ -62,18 +72,10 @@ def test_allreduce_matches_tree_order_reference_bitwise(workers):
     grads = [random_grads(rng, model) for _ in range(workers)]
     result = allreduce_mean(grads)
 
-    # Reference: the same pairwise tree written out longhand.
-    def tree_sum(vectors):
-        if len(vectors) == 1:
-            return vectors[0]
-        nxt = []
-        for i in range(0, len(vectors) - 1, 2):
-            nxt.append(vectors[i] + vectors[i + 1])
-        if len(vectors) % 2 == 1:
-            nxt.append(vectors[-1])
-        return tree_sum(nxt)
-
-    ref = tree_sum([g.copy() for g in grads])
+    # Reference: the sum in ascending worker id, written out longhand.
+    ref = grads[0].copy()
+    for g in grads[1:]:
+        ref = ref + g
     assert np.array_equal(result, ref * (1.0 / workers))
     # And it is a mean, up to reassociation.
     assert np.max(np.abs(result - np.mean(grads, axis=0))) < 1e-15

@@ -114,6 +114,19 @@ def test_validation_errors():
         feasibility_report(10, PAPER_SPEC, 1, BackendProfile("p", 1.0), 0.0)
 
 
+@pytest.mark.parametrize(
+    "latency, queue", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)]
+)
+def test_non_finite_latencies_rejected(latency, queue):
+    with pytest.raises(ValueError, match="latencies"):
+        BackendProfile(name="bad", mean_job_latency=latency, queue_overhead=queue)
+
+
+def test_nan_budget_rejected():
+    with pytest.raises(ValueError, match="budget"):
+        feasibility_report(10, PAPER_SPEC, 1, BackendProfile("p", 1.0), np.nan)
+
+
 def test_negative_job_cap_rejected():
     with pytest.raises(ValueError, match="job_cap"):
         BackendProfile(name="bad", mean_job_latency=1.0, job_cap=-5)

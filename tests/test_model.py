@@ -84,6 +84,29 @@ def test_cross_entropy_label_out_of_range():
         loss_cross_entropy(np.zeros(2), np.nan)
 
 
+def test_non_integer_labels_rejected():
+    with pytest.raises(ValueError, match="label 1.5 is not a whole number"):
+        loss_cross_entropy(np.zeros(2), 1.5)
+    model = zero_model()
+    x = np.zeros((2, 5))
+    with pytest.raises(ValueError, match="label 1.5 is not a whole number"):
+        backward(model, x[0], 1.5)
+    with pytest.raises(ValueError, match="label 0.9 is not a whole number"):
+        backward(model, x, np.array([0.9, 1.2]))
+    # Whole-number float labels are the integer labels.
+    assert loss_cross_entropy(np.array([0.5, -0.5]), 1.0) == loss_cross_entropy(
+        np.array([0.5, -0.5]), 1
+    )
+
+
+@pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+def test_sgd_step_rejects_bad_learning_rate(lr):
+    model = zero_model(q=2, d=1, dim=2, classes=2)
+    with pytest.raises(ConfigurationError, match="learning rate"):
+        sgd_step(model, np.zeros_like(model.params), lr, 0.9, np.zeros_like(model.params))
+    assert np.array_equal(model.params, np.zeros_like(model.params))
+
+
 def numeric_gradient(model, x, label, h=1e-5):
     blocks = model.weight_blocks()
     grads = [np.zeros_like(b) for b in blocks]

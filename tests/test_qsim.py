@@ -6,7 +6,6 @@ from dressedq import (
     apply_cnot,
     apply_h,
     apply_ry,
-    expect_z,
     expect_z_all,
     new_zero_state,
 )
@@ -23,6 +22,24 @@ def test_zero_state_single_qubit():
 
 def test_zero_state_two_qubits():
     assert np.array_equal(new_zero_state(2).amplitudes, [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("shape, qubits", [((4,), 2), ((8, 3), 3), ((2, 1), 1)])
+def test_state_qubit_count_comes_from_amplitude_length(shape, qubits):
+    assert StateVector(np.zeros(shape)).num_qubits == qubits
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (3,), (6, 2), (1 << 25,), (4, 2, 2)])
+def test_state_rejects_lengths_other_than_two_to_the_q(shape):
+    # A broadcast view allocates nothing, and the shape is checked before any copy.
+    with pytest.raises(ConfigurationError, match="2\\^q"):
+        StateVector(np.broadcast_to(0.0, shape))
+
+
+def test_two_qubit_amplitudes_read_out_two_wires():
+    s = StateVector(np.array([1.0, 0, 0, 0]))
+    assert s.num_qubits == 2
+    assert np.array_equal(expect_z_all(s), [1.0, 1.0])
 
 
 def test_qubit_cap_enforced():
@@ -107,15 +124,14 @@ def test_wire_out_of_range(op):
 
 def test_expect_z_zero_state():
     s = new_zero_state(3)
-    assert all(expect_z(s, w) == 1.0 for w in range(3))
+    assert np.array_equal(expect_z_all(s), [1.0, 1.0, 1.0])
 
 
 def test_expect_z_bell():
     s = new_zero_state(2)
     apply_h(s, 0)
     apply_cnot(s, 0, 1)
-    assert abs(expect_z(s, 0)) < 1e-15
-    assert abs(expect_z(s, 1)) < 1e-15
+    assert np.all(np.abs(expect_z_all(s)) < 1e-15)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, -1.2, np.pi / 2, 2.5])
@@ -124,17 +140,17 @@ def test_expect_z_after_h_then_ry(theta):
     s = new_zero_state(1)
     apply_h(s, 0)
     apply_ry(s, 0, theta)
-    assert expect_z(s, 0) == pytest.approx(-np.sin(theta), abs=1e-12)
+    assert expect_z_all(s)[0] == pytest.approx(-np.sin(theta), abs=1e-12)
 
 
 def test_expect_z_all_matches_per_wire():
     rng = np.random.default_rng(11)
-    gates = random_gates(rng, 3, 25)
-    s = apply_gates_sim(new_zero_state(3), gates)
-    dense = run_circuit_dense(gates, 3)
-    ref = [expect_z_dense(dense, w, 3) for w in range(3)]
-    assert np.allclose(expect_z_all(s), ref, rtol=0, atol=1e-12)
-    assert all(expect_z(s, w) == expect_z_all(s)[w] for w in range(3))
+    for q in (1, 3, 5):
+        gates = random_gates(rng, q, 25)
+        s = apply_gates_sim(new_zero_state(q), gates)
+        dense = run_circuit_dense(gates, q)
+        ref = [expect_z_dense(dense, w, q) for w in range(q)]
+        assert np.allclose(expect_z_all(s), ref, rtol=0, atol=1e-12)
 
 
 def test_expect_z_bounded():
@@ -181,8 +197,8 @@ def test_gates_act_on_non_contiguous_amplitudes():
     gates = random_gates(rng, 3, 12) + [("ry", 1, np.array([0.3, -1.1, 2.0]))]
     base = apply_gates_sim(new_zero_state(3, rows=3), gates)
     more = [("cnot", 0, 2), ("h", 1), ("ry", 2, 0.4)]
-    fortran = apply_gates_sim(StateVector(3, np.asfortranarray(base.amplitudes)), more)
-    contiguous = apply_gates_sim(StateVector(3, base.amplitudes.copy()), more)
+    fortran = apply_gates_sim(StateVector(np.asfortranarray(base.amplitudes)), more)
+    contiguous = apply_gates_sim(StateVector(base.amplitudes.copy()), more)
     assert np.array_equal(fortran.amplitudes, contiguous.amplitudes)
 
 
@@ -190,9 +206,9 @@ def test_ry_angles_add():
     rng = np.random.default_rng(29)
     base = apply_gates_sim(new_zero_state(2), random_gates(rng, 2, 10))
     a, b = 0.7, -1.9
-    split = StateVector(2, base.amplitudes.copy())
+    split = StateVector(base.amplitudes.copy())
     apply_ry(split, 1, a)
     apply_ry(split, 1, b)
-    combined = StateVector(2, base.amplitudes.copy())
+    combined = StateVector(base.amplitudes.copy())
     apply_ry(combined, 1, a + b)
     assert np.max(np.abs(split.amplitudes - combined.amplitudes)) < 1e-12
