@@ -10,9 +10,14 @@ Circuit layout (fixed):
 
 Gradients use the exact parameter-shift rule for RY generators:
 d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
+
+A call checks its arguments' shapes, then turns all of its angles into one
+qsim.Rotation for the embedding and one for the thetas (where they are
+checked finite), and hands each gate its indexed view of those.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +75,6 @@ def _check_args(spec: CircuitSpec, thetas: np.ndarray, embed_angles: np.ndarray)
         raise ConfigurationError(
             f"thetas shape {thetas.shape} != ({d}, {q}) or (K, {d}, {q})"
         )
-    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(embed_angles))):
-        raise ValueError("non-finite circuit angle")
 
 
 def quantum_forward(
@@ -84,41 +87,64 @@ def quantum_forward(
     shape (q,). A batch of shape (K, q) runs K circuits as the columns of
     one (2^q, K) state and returns (K, q); thetas are then shared, shape
     (depth, q), or one set per row, shape (K, depth, q). Each row's result
-    equals the single-circuit call's exactly. Counts K circuit evaluations.
+    equals the single-circuit call's exactly. A non-finite angle raises
+    ValueError (from qsim.Rotation) before any circuit runs. Counts K
+    circuit evaluations.
     """
     global _forward_evals
     embed_angles = np.asarray(embed_angles, dtype=float)
     _check_args(spec, thetas, embed_angles)
     embeds = embed_angles.reshape(-1, spec.qubits)
     k = len(embeds)
+    # Rows last, like the state: embed_rot[i] and theta_rot[layer, i] are
+    # one gate's angle, shared or a (K,) vector with one per row.
+    embed_rot = qsim.Rotation(embeds.T)
+    shared = thetas.ndim == 2
+    theta_rot = qsim.Rotation(thetas if shared else thetas.transpose(1, 2, 0))
     _forward_evals += k
 
     out = np.empty((k, spec.qubits))
     chunk = max(1, BATCH_AMPLITUDES >> spec.qubits)
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
-        out[rows] = _run_rows(spec, thetas if thetas.ndim == 2 else thetas[rows], embeds[rows])
+        out[rows] = _run_rows(
+            spec, theta_rot if shared else theta_rot[..., rows], embed_rot[:, rows]
+        )
     return out[0] if embed_angles.ndim == 1 else out
 
 
-def _run_rows(spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray) -> np.ndarray:
+def _run_rows(
+    spec: CircuitSpec, theta_rot: qsim.Rotation, embed_rot: qsim.Rotation
+) -> np.ndarray:
     """The circuit layout on a rows-last (2^q, K) state, circuit k in
-    column k; embeds (K, q), thetas shared (d, q) or per row (K, d, q).
-    Returns the (K, q) Z expectations."""
+    column k; embed_rot holds (q, K) angles, theta_rot (d, q) shared ones
+    or (d, q, K) per-row ones. Returns the (K, q) Z expectations."""
     q = spec.qubits
-    state = qsim.new_zero_state(q, rows=len(embeds))
+    state = qsim.new_zero_state(q, rows=embed_rot.cos.shape[1])
     for i in range(q):
         qsim.apply_h(state, i)
     for i in range(q):
-        qsim.apply_ry(state, i, embeds[:, i])
+        qsim.apply_ry(state, i, embed_rot[i])
     for layer in range(spec.depth):
         for i in range(0, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(1, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(q):
-            qsim.apply_ry(state, i, thetas[..., layer, i])
+            qsim.apply_ry(state, i, theta_rot[layer, i])
     return qsim.expect_z_all(state)
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_table(n: int) -> np.ndarray:
+    """The read-only (1 + 2n, n) parameter-shift offsets: row 0 is zero, and
+    rows 2p+1 and 2p+2 add +pi/2 and -pi/2 to angle p."""
+    table = np.zeros((1 + 2 * n, n))
+    p = np.arange(n)
+    table[2 * p + 1, p] = np.pi / 2.0
+    table[2 * p + 2, p] = -np.pi / 2.0
+    table.setflags(write=False)
+    return table
 
 
 def param_shift_grad(
@@ -134,7 +160,8 @@ def param_shift_grad(
     For a batch of B samples, embed_angles (B, q), each result gains a
     leading B axis and row b equals the single-sample call on embed_angles[b]
     exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample; all
-    B samples run as one batch.
+    B samples run as one quantum_forward batch, whose angles are the base
+    angles plus the cached shift table (`_shift_table`) in one broadcast add.
     """
     embed_angles = np.asarray(embed_angles, dtype=float)
     q, d = spec.qubits, spec.depth
@@ -153,12 +180,10 @@ def param_shift_grad(
     # and -pi/2.
     embeds = embed_angles.reshape(-1, q)
     b, n, k = len(embeds), d * q + q, circuit_evals_per_sample(spec)
-    angles = np.empty((b, k, n))
-    angles[:, :, : d * q] = thetas.ravel()
-    angles[:, :, d * q :] = embeds[:, None, :]
-    p = np.arange(n)
-    angles[:, 2 * p + 1, p] += np.pi / 2.0
-    angles[:, 2 * p + 2, p] -= np.pi / 2.0
+    base = np.empty((b, 1, n))
+    base[:, 0, : d * q] = thetas.ravel()
+    base[:, 0, d * q :] = embeds
+    angles = base + _shift_table(n)
     thetas_rows = angles[:, :, : d * q].reshape(b * k, d, q)
     embed_rows = angles[:, :, d * q :].reshape(b * k, q)
     out = quantum_forward(spec, thetas_rows, embed_rows).reshape(b, k, q)

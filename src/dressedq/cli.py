@@ -194,6 +194,8 @@ def main(argv=None) -> str:
     for flag, value in (("--queue", args.queue), ("--job-cap", args.job_cap)):
         if value is not None and args.latency is None:
             parser.error(f"argument {flag}: applies only with --latency")
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     out = args.out or f"{args.sweep}-{time.strftime('%Y%m%d-%H%M%S')}.csv"
 
     if args.dataset:

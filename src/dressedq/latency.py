@@ -24,6 +24,11 @@ class BackendProfile:
     def __post_init__(self):
         if not (0 <= self.mean_job_latency < math.inf and 0 <= self.queue_overhead < math.inf):
             raise ValueError("latencies must be nonnegative and finite")
+        if self.seconds_per_job == math.inf:
+            raise ValueError(
+                f"latencies {self.mean_job_latency:g} + {self.queue_overhead:g} "
+                "overflow to an infinite time per job"
+            )
         if self.job_cap is not None and self.job_cap < 0:
             raise ValueError(f"job_cap must be nonnegative, got {self.job_cap}")
 
@@ -73,6 +78,11 @@ def feasibility_report(
     per_epoch = jobs_per_epoch(n_train, spec)
     total_jobs = epochs * per_epoch
     projected = epochs * epoch_wall_seconds(per_epoch, profile)
+    if projected == math.inf:
+        raise ValueError(
+            f"projected time of {total_jobs} jobs at {profile.seconds_per_job:g} s each "
+            "overflows to infinity"
+        )
 
     first_failure = None
     if profile.job_cap is not None and total_jobs > profile.job_cap:

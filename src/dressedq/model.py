@@ -6,8 +6,10 @@ forward(x): z = W_pre x + b_pre; embed = (pi/2) tanh(z);
 Gradients are exact: analytic chain rule through both linear layers and
 the tanh squash, parameter-shift Jacobians through the circuit. A batch of
 B samples, features (B, D), is one pre-net matmul, one param_shift_grad
-call running all B * (1 + 2(dq + q)) shifted circuits, and a chain rule
-vectorized over the batch.
+call running all B * (1 + 2(dq + q)) shifted circuits, and a chain rule of
+a few whole-array calls: tanh taken once, the labels as a boolean one-hot,
+matmuls for every contraction, each written into its block of the gradient
+vector through the block slices the model worked out once.
 """
 from __future__ import annotations
 
@@ -33,8 +35,20 @@ def _block_shapes(
     return ((q, feature_dim), (q,), (d, q), (num_classes, q), (num_classes,))
 
 
+def _block_slices(
+    spec: CircuitSpec, feature_dim: int, num_classes: int
+) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """(slice of params, shape) of each block, in _block_shapes order."""
+    slices, start = [], 0
+    for shape in _block_shapes(spec, feature_dim, num_classes):
+        stop = start + math.prod(shape)
+        slices.append((slice(start, stop), shape))
+        start = stop
+    return tuple(slices)
+
+
 def _param_count(spec: CircuitSpec, feature_dim: int, num_classes: int) -> int:
-    return sum(math.prod(shape) for shape in _block_shapes(spec, feature_dim, num_classes))
+    return _block_slices(spec, feature_dim, num_classes)[-1][0].stop
 
 
 @dataclass(eq=False)
@@ -54,7 +68,8 @@ class HybridModel:
     params: np.ndarray
 
     def __post_init__(self):
-        size = _param_count(self.spec, self.feature_dim, self.num_classes)
+        self._slices = _block_slices(self.spec, self.feature_dim, self.num_classes)
+        size = self._slices[-1][0].stop
         params = self.params
         if not (
             isinstance(params, np.ndarray)
@@ -82,12 +97,7 @@ class HybridModel:
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of a params-shaped vector as the five blocks, in checkpoint
         order: pre_weights, pre_bias, thetas, post_weights, post_bias."""
-        views, start = [], 0
-        for shape in _block_shapes(self.spec, self.feature_dim, self.num_classes):
-            stop = start + math.prod(shape)
-            views.append(vec[start:stop].reshape(shape))
-            start = stop
-        return tuple(views)
+        return tuple(vec[where].reshape(shape) for where, shape in self._slices)
 
     def copy(self) -> "HybridModel":
         return HybridModel(self.spec, self.feature_dim, self.num_classes, self.params.copy())
@@ -147,9 +157,10 @@ def init_model(
 
 
 def _embed(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-net output and circuit angles for features (D,) or a batch (n, D)."""
-    z = (model.pre_weights @ features.T).T + model.pre_bias
-    return z, (np.pi / 2.0) * np.tanh(z)
+    """tanh of the pre-net output, and the circuit angles (pi/2) tanh, for
+    features (D,) or a batch (n, D)."""
+    t = np.tanh((model.pre_weights @ features.T).T + model.pre_bias)
+    return t, (np.pi / 2.0) * t
 
 
 def _as_features(model: HybridModel, features) -> np.ndarray:
@@ -183,25 +194,26 @@ def _softmax_terms(
     return shifted, e, e.sum(axis=-1, keepdims=True)
 
 
-def _class_indices(labels, num_classes: int) -> np.ndarray:
-    """Labels as intp class indices; one out of range, NaN too, or not whole raises ValueError."""
-    labels = np.asarray(labels)
-    ok = (labels >= 0) & (labels < num_classes)  # False for NaN
-    if not ok.all():
-        raise ValueError(f"label {labels[~ok].ravel()[0]} out of range for {num_classes} classes")
-    indices = labels.astype(np.intp)
-    # Bool and integer labels are whole by type; skipping them keeps the step cheap.
-    if labels.dtype.kind not in "biu" and not (indices == labels).all():
-        raise ValueError(f"label {labels[indices != labels].ravel()[0]} is not a whole number")
-    return indices
+def _one_hot(labels, num_classes: int) -> np.ndarray:
+    """Labels as a (B, C) boolean one-hot, B = labels.size; a label out of
+    range, NaN too, or not whole raises ValueError."""
+    labels = np.asarray(labels).reshape(-1)
+    onehot = labels[:, None] == np.arange(num_classes)
+    # A valid label equals exactly one class index, so B hits mean all valid.
+    if np.count_nonzero(onehot) < len(labels):
+        ok = (labels >= 0) & (labels < num_classes)  # False for NaN
+        if not ok.all():
+            raise ValueError(f"label {labels[~ok][0]} out of range for {num_classes} classes")
+        raise ValueError(f"label {labels[~onehot.any(axis=1)][0]} is not a whole number")
+    return onehot
 
 
 def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
     """-log softmax(logits)[label], stable under large logits."""
     logits = np.asarray(logits, dtype=float)
-    label = _class_indices(label, logits.shape[0])
+    (hit,) = _one_hot(label, logits.shape[0])
     shifted, _, e_sum = _softmax_terms(logits)
-    return float(np.log(e_sum[0]) - shifted[label])
+    return float(np.log(e_sum[0]) - shifted[hit][0])
 
 
 def backward(
@@ -224,32 +236,35 @@ def backward(
         raise ConfigurationError("empty batch")
 
     feats = features.reshape(-1, model.feature_dim)
-    labels = _class_indices(labels, model.num_classes).reshape(-1)
-    rows = np.arange(len(labels))
-    z, embed = _embed(model, feats)  # (B, q)
+    onehot = _one_hot(labels, model.num_classes)  # (B, C) bool
+    b = len(onehot)
+    t, embed = _embed(model, feats)  # (B, q)
     jac_thetas, jac_embed, qout = param_shift_grad(model.spec, model.thetas, embed)
     logits = qout @ model.post_weights.T + model.post_bias  # (B, C)
     shifted, e, e_sum = _softmax_terms(logits)
-    losses = np.log(e_sum[:, 0]) - shifted[rows, labels]
+    losses = np.log(e_sum[:, 0]) - shifted[onehot]
 
     # Softmax minus one-hot, scaled by 1/B so every sum below is a batch mean.
     dlogits = e / e_sum
-    dlogits[rows, labels] -= 1.0
-    dlogits /= len(labels)
+    dlogits -= onehot
+    dlogits /= b
 
     grad = np.empty_like(model.params)
     g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b = model.split(grad)
-    g_post_w[...] = dlogits.T @ qout
-    g_post_b[...] = dlogits.sum(axis=0)
+    np.matmul(dlogits.T, qout, out=g_post_w)
+    dlogits.sum(axis=0, out=g_post_b)
 
     dqout = dlogits @ model.post_weights  # (B, q)
-    g_thetas[...] = np.einsum("bo,boli->li", dqout, jac_thetas)  # (d, q)
-    dembed = np.einsum("bo,boj->bj", dqout, jac_embed)  # (B, q)
+    # Sums over samples b and outputs o: (1, B*q) @ (B*q, d*q) for thetas,
+    # and per sample (1, q) @ (q, q) for the embedding angles.
+    q, dq = model.spec.qubits, model.thetas.size
+    np.matmul(dqout.reshape(1, b * q), jac_thetas.reshape(b * q, dq), out=g_thetas.reshape(1, dq))
+    dembed = np.matmul(dqout[:, None, :], jac_embed)[:, 0]  # (B, q)
 
-    dz = dembed * (np.pi / 2.0) * (1.0 - np.tanh(z) ** 2)
-    g_pre_w[...] = dz.T @ feats
-    g_pre_b[...] = dz.sum(axis=0)
-    return grad, float(losses.sum() / len(labels))
+    dz = dembed * (np.pi / 2.0) * (1.0 - t**2)
+    np.matmul(dz.T, feats, out=g_pre_w)
+    dz.sum(axis=0, out=g_pre_b)
+    return grad, float(losses.sum() / b)
 
 
 def batch_gradient(

@@ -9,6 +9,10 @@ Conventions:
   row k is column k. Every gate acts on all rows at once as a few
   elementwise passes whose inner loop runs over the K values of one basis
   state; RY takes one angle for all rows or one angle per row.
+- RY angles are checked finite and turned into the cos and sin of their
+  halves in one place, `Rotation`. A caller with many gates to run builds
+  one `Rotation` over all their angles and hands each gate its indexed
+  view, so no gate checks or converts an angle again.
 - Each amplitude goes through the same arithmetic whatever the row count,
   so a row of a batch equals its single-row run bit for bit.
 - Gates act through axis views of the amplitude array; no full 2^q x 2^q
@@ -87,34 +91,60 @@ def apply_h(state: StateVector, wire: int) -> StateVector:
     return state
 
 
+class Rotation:
+    """cos and sin of half of RY angles of any shape, the angles checked finite.
+
+    `Rotation(angles)` takes a lone angle or an array of them; a non-finite
+    one raises ValueError. A lone Python float goes through math.cos/sin and
+    arrays through np.cos/np.sin; the two must return the same bits for a
+    batch row to equal its single-row run, which tests/test_batched.py
+    checks. `rotation[index]` is the Rotation of
+    `angles[index]`, made by indexing the stored cos and sin without a
+    second check: an index that picks one angle gives a shared-angle gate,
+    one that picks a (K,) vector gives a per-row gate of a K-row state.
+    """
+
+    __slots__ = ("cos", "sin")
+
+    def __init__(self, angles):
+        if not isinstance(angles, float):
+            angles = np.asarray(angles, dtype=float)
+            if angles.ndim == 0:
+                angles = float(angles)
+        half = angles / 2.0
+        if isinstance(half, float):
+            if not math.isfinite(half):
+                raise ValueError(f"non-finite rotation angle: {angles!r}")
+            self.cos, self.sin = math.cos(half), math.sin(half)
+        else:
+            # count_nonzero reads a mask faster than ndarray.all does.
+            if np.count_nonzero(np.isfinite(half)) < half.size:
+                raise ValueError(f"non-finite rotation angle in {angles!r}")
+            self.cos, self.sin = np.cos(half), np.sin(half)
+
+    def __getitem__(self, index) -> "Rotation":
+        view = Rotation.__new__(Rotation)
+        view.cos, view.sin = self.cos[index], self.sin[index]
+        return view
+
+
 def apply_ry(state: StateVector, wire: int, theta) -> StateVector:
     """Y-axis rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]], in place.
 
-    `theta` is one angle for every row, or a length-K vector with one
-    angle per row of a (2^q, K) state.
+    `theta` is one angle for every row, a length-K vector with one angle
+    per row of a (2^q, K) state, or a `Rotation` holding either; a plain
+    angle or vector is checked and converted through `Rotation`, a
+    `Rotation` is used as it is. A per-row angle count other than K raises
+    ValueError.
     """
     _check_wire(state, wire)
     amps = state.amplitudes
-    if not isinstance(theta, float):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 0:
-            theta = float(theta)
-    # math.cos/sin here and np.cos/sin below must return the same bits for
-    # a batch row to equal its single-row run; tests/test_batched.py checks.
-    if isinstance(theta, float):
-        half = theta / 2.0
-        if not math.isfinite(half):
-            raise ValueError(f"non-finite rotation angle: {theta!r}")
-        c, s = math.cos(half), math.sin(half)
-    else:
+    rot = theta if isinstance(theta, Rotation) else Rotation(theta)
+    c, s = rot.cos, rot.sin
+    if not isinstance(c, float) and c.shape:
         rows = amps.shape[1] if amps.ndim == 2 else 1
-        if theta.shape != (rows,):
-            raise ValueError(f"{theta.shape} rotation angles for {rows} state rows")
-        half = theta / 2.0
-        # count_nonzero reads a (K,) mask faster than ndarray.all does.
-        if np.count_nonzero(np.isfinite(half)) < rows:
-            raise ValueError(f"non-finite rotation angle in {theta!r}")
-        c, s = np.cos(half), np.sin(half)
+        if c.shape != (rows,):
+            raise ValueError(f"{c.shape} rotation angles for {rows} state rows")
     # (c*a0 - s*a1, s*a0 + c*a1): c and s broadcast along the rows axis of
     # the whole array, then the two halves of the wire split combine.
     scaled = amps * s

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dressedq import ConfigurationError, circuit_evals_per_sample, param_shift_grad, quantum_forward
+from dressedq import circuit
 from dressedq.circuit import CircuitSpec, forward_eval_count
 
 from oracle import expect_z_dense, run_circuit_dense
@@ -133,6 +134,43 @@ def test_param_shift_value_matches_forward():
     params, embed = random_point(rng, 3, 2)
     _, _, value = param_shift_grad(spec, params, embed)
     assert np.array_equal(value, quantum_forward(spec, params, embed))
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_param_shift_entries_equal_explicit_shifted_runs(q, d, b):
+    # Every Jacobian entry against its two shifted circuits, each run as its
+    # own quantum_forward call: angle p (thetas row-major, then the
+    # embedding) moved by +pi/2 and -pi/2.
+    rng = np.random.default_rng(100 * q + 10 * d + b)
+    spec = CircuitSpec(qubits=q, depth=d)
+    thetas = rng.uniform(-np.pi, np.pi, size=(d, q))
+    embeds = rng.uniform(-np.pi, np.pi, size=(b, q))
+    jac_t, jac_e, value = param_shift_grad(spec, thetas, embeds)
+    for row in range(b):
+        assert np.array_equal(value[row], quantum_forward(spec, thetas, embeds[row]))
+        for p in range(d * q + q):
+            runs = []
+            for shift in (np.pi / 2, -np.pi / 2):
+                t, e = thetas.copy(), embeds[row].copy()
+                if p < d * q:
+                    t[p // q, p % q] += shift
+                else:
+                    e[p - d * q] += shift
+                runs.append(quantum_forward(spec, t, e))
+            expected = (runs[0] - runs[1]) / 2.0
+            got = jac_t[row, :, p // q, p % q] if p < d * q else jac_e[row, :, p - d * q]
+            assert np.array_equal(got, expected), (row, p)
+
+
+def test_shift_table_is_cached_and_read_only():
+    table = circuit._shift_table(6)
+    assert circuit._shift_table(6) is table
+    assert table.shape == (13, 6)
+    assert np.count_nonzero(table) == 12
+    with pytest.raises(ValueError):
+        table[1, 0] = 0.0
 
 
 @pytest.mark.parametrize(

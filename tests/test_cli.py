@@ -43,6 +43,8 @@ TINY = ["--synthetic", "40,8,2,3", "--epochs", "2", "--depth", "1", "--seed", "7
         ("--latency", "5", "epochs"),
         ("--budget", "1", "workers"),
         ("--dataset", "missing-dir/data.csv", "qubits"),
+        ("--seed", "-1", "latency"),
+        ("--seed", "-1", "qubits"),
     ],
 )
 def test_malformed_flag_is_an_argparse_error(tmp_path, capsys, flag, value, sweep):
@@ -90,6 +92,7 @@ def test_non_utf8_dataset_file_is_an_argparse_error(tmp_path, capsys):
         (["--latency", "inf"], "latencies"),
         (["--latency", "1", "--queue", "nan"], "latencies"),
         (["--budget", "nan"], "budget"),
+        (["--latency", "1e308", "--queue", "1e308"], "latencies"),
     ],
 )
 def test_latency_sweep_out_of_range_value_is_an_argparse_error(tmp_path, capsys, flags, quantity):

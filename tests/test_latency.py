@@ -122,6 +122,18 @@ def test_non_finite_latencies_rejected(latency, queue):
         BackendProfile(name="bad", mean_job_latency=latency, queue_overhead=queue)
 
 
+def test_latencies_whose_sum_overflows_rejected():
+    with pytest.raises(ValueError, match="latencies"):
+        BackendProfile(name="bad", mean_job_latency=1e308, queue_overhead=1e308)
+
+
+def test_projection_that_overflows_rejected():
+    # Finite inputs: 100 samples x 57 jobs x 1e306 s is past the float range.
+    profile = BackendProfile(name="slow", mean_job_latency=1e306)
+    with pytest.raises(ValueError, match="overflows"):
+        feasibility_report(100, PAPER_SPEC, 1000, profile, 1e9)
+
+
 def test_nan_budget_rejected():
     with pytest.raises(ValueError, match="budget"):
         feasibility_report(10, PAPER_SPEC, 1, BackendProfile("p", 1.0), np.nan)

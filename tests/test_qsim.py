@@ -9,7 +9,8 @@ from dressedq import (
     expect_z_all,
     new_zero_state,
 )
-from dressedq.qsim import StateVector
+from dressedq import CircuitSpec, quantum_forward
+from dressedq.qsim import Rotation, StateVector
 
 from oracle import apply_gates_sim, expect_z_dense, random_gates, run_circuit_dense
 
@@ -90,6 +91,59 @@ def test_ry_rejects_non_finite():
         apply_ry(new_zero_state(1), 0, float("nan"))
     with pytest.raises(ValueError):
         apply_ry(new_zero_state(1), 0, float("inf"))
+
+
+def prepared_state(q, rows):
+    """A state with no zero amplitudes: H and a spread of RYs on every wire."""
+    state = new_zero_state(q, rows=rows)
+    for w in range(q):
+        apply_h(state, w)
+        apply_ry(state, w, 0.3 + 0.2 * w)
+    return state
+
+
+@pytest.mark.parametrize("angle", [0.7, np.array([0.7, -2.5, 3.1])])
+def test_ry_rotation_equals_plain_angles(angle):
+    for wire in range(3):
+        plain, rotated = prepared_state(3, 3), prepared_state(3, 3)
+        apply_ry(plain, wire, angle)
+        apply_ry(rotated, wire, Rotation(angle))
+        assert plain.amplitudes.tobytes() == rotated.amplitudes.tobytes()
+
+
+def test_rotation_views_equal_their_angles():
+    angles = np.random.default_rng(4).uniform(-7.0, 7.0, size=(2, 3, 5))
+    rotation = Rotation(angles)
+    for index in [(1, 2), (0, slice(None), 4), (..., 3)]:
+        view, direct = rotation[index], Rotation(angles[index])
+        assert np.array_equal(view.cos, direct.cos) and np.array_equal(view.sin, direct.sin)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angle_raises_everywhere(bad):
+    with pytest.raises(ValueError):
+        Rotation(bad)
+    with pytest.raises(ValueError):
+        Rotation(np.array([[0.1, bad], [0.2, 0.3]]))
+    with pytest.raises(ValueError):
+        apply_ry(new_zero_state(2, rows=2), 0, np.array([0.1, bad]))
+    with pytest.raises(ValueError):
+        apply_ry(new_zero_state(2), 1, bad)
+    spec = CircuitSpec(qubits=2, depth=1)
+    with pytest.raises(ValueError):
+        quantum_forward(spec, np.array([[0.1, bad]]), np.zeros(2))
+    with pytest.raises(ValueError):
+        quantum_forward(spec, np.zeros((1, 2)), np.array([[0.1, 0.2], [bad, 0.3]]))
+    with pytest.raises(ValueError):
+        quantum_forward(spec, np.full((2, 1, 2), bad), np.zeros((2, 2)))
+
+
+def test_rotation_view_with_wrong_row_count_raises():
+    rotation = Rotation(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="for 3 state rows"):
+        apply_ry(new_zero_state(2, rows=3), 0, rotation[0])
+    with pytest.raises(ValueError, match="for 3 state rows"):
+        apply_ry(new_zero_state(2, rows=3), 0, rotation[:, 1])
 
 
 def test_cnot_flips_target_when_control_set():
