@@ -13,10 +13,7 @@ d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
 A call checks its arguments' shapes, then turns all of its angles into one
 qsim.Rotation for the embedding and one for the thetas (where they are
-checked finite), and hands each gate its indexed view of those. It runs
-them on a state kept from an earlier call of the same shape where there is
-one (see `_zero_state`), so calls share module state and must not run
-concurrently in one process.
+checked finite), and hands each gate its indexed view of those.
 """
 from __future__ import annotations
 
@@ -39,13 +36,6 @@ _forward_evals = 0
 # >> q) rows, so one chunk holds about 2^18 float64 amplitudes (2 MiB)
 # whatever the batch size.
 BATCH_AMPLITUDES = 1 << 18
-
-# States kept between calls, by (qubits, rows), the most recent last: a
-# kept state is reset to |0...0> and keeps the scratch array and views its
-# gates made, which on small circuits cost more than the gates. At most
-# KEPT_STATES of them, of at most BATCH_AMPLITUDES amplitudes each.
-KEPT_STATES = 4
-_kept_states: dict[tuple[int, int], qsim.StateVector] = {}
 
 
 def forward_eval_count() -> int:
@@ -130,7 +120,7 @@ def _run_rows(
     column k; embed_rot holds (q, K) angles, theta_rot (d, q) shared ones
     or (d, q, K) per-row ones. Returns the (K, q) Z expectations."""
     q = spec.qubits
-    state = _zero_state(q, embed_rot.cos.shape[1])
+    state = qsim.new_zero_state(q, rows=embed_rot.cos.shape[1])
     for i in range(q):
         qsim.apply_h(state, i)
     for i in range(q):
@@ -143,23 +133,6 @@ def _run_rows(
         for i in range(q):
             qsim.apply_ry(state, i, theta_rot[layer, i])
     return qsim.expect_z_all(state)
-
-
-def _zero_state(qubits: int, rows: int) -> qsim.StateVector:
-    """|0...0> of `rows` rows: a kept state of that shape, reset, or a new
-    one, kept in turn if it is small enough."""
-    key = (qubits, rows)
-    state = _kept_states.pop(key, None)
-    if state is None:
-        state = qsim.new_zero_state(qubits, rows=rows)
-    else:
-        state.amplitudes.fill(0.0)
-        state.amplitudes[0] = 1.0
-    if rows << qubits <= BATCH_AMPLITUDES:
-        _kept_states[key] = state
-        if len(_kept_states) > KEPT_STATES:
-            del _kept_states[next(iter(_kept_states))]
-    return state
 
 
 @functools.lru_cache(maxsize=16)

@@ -17,9 +17,7 @@ Conventions:
   so a row of a batch equals its single-row run bit for bit.
 - Gates act through axis views of the amplitude array; no full 2^q x 2^q
   matrix is ever built here (the dense Kronecker oracle lives in the test
-  suite only). A state keeps a scratch array of its own shape and the
-  views its gates use, made on first use, so a gate allocates nothing and
-  a state run through many gates, or reused, pays for them once.
+  suite only).
 """
 from __future__ import annotations
 
@@ -42,13 +40,10 @@ class StateVector:
     the length: a power of two from 2 to 2^MAX_QUBITS, else ConfigurationError.
 
     The amplitudes are kept C-contiguous float64 (a copy is made if need
-    be): the gates write through reshaped views of them. A state also keeps
-    one scratch array of the same shape, the views of both that its H and
-    RY gates use per wire and the views its CNOTs use per wire pair, each
-    made on first use.
+    be): the gates write through reshaped views of them.
     """
 
-    __slots__ = ("num_qubits", "amplitudes", "_scratch", "_wire_views", "_cnot_views")
+    __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, amplitudes: np.ndarray):
         shape = np.shape(amplitudes)
@@ -59,18 +54,6 @@ class StateVector:
                 f"amplitudes shape {shape} is not (2^q,) or (2^q, K) for q in 1..{MAX_QUBITS}"
             )
         self.amplitudes = np.ascontiguousarray(amplitudes, dtype=float)
-        self._scratch = None
-        self._wire_views = [None] * q
-        self._cnot_views = {}
-
-
-def _aligned_empty(shape) -> np.ndarray:
-    """An uninitialised float64 array starting on a 64-byte cache line, so
-    a gate's passes over it run the same whatever address malloc returns."""
-    size = int(np.prod(shape))
-    raw = np.empty(size + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start : start + size].reshape(shape)
 
 
 def new_zero_state(num_qubits: int, rows: int | None = None) -> StateVector:
@@ -79,8 +62,7 @@ def new_zero_state(num_qubits: int, rows: int | None = None) -> StateVector:
         raise ConfigurationError(
             f"qubit count {num_qubits} outside supported range 1..{MAX_QUBITS}"
         )
-    amps = _aligned_empty(1 << num_qubits if rows is None else (1 << num_qubits, rows))
-    amps.fill(0.0)
+    amps = np.zeros(1 << num_qubits if rows is None else (1 << num_qubits, rows))
     amps[0] = 1.0
     return StateVector(amps)
 
@@ -90,52 +72,22 @@ def _check_wire(state: StateVector, wire: int) -> None:
         raise IndexError(f"wire {wire} out of range for {state.num_qubits} qubits")
 
 
-class _WireViews:
-    """Views of a state's amplitudes and scratch array that split one wire.
-
-    The amplitudes seen as (2^wire, 2, 2^(q-wire-1), K), K being 1 for a
-    one-row state, have the wire's bit on axis 1. `a0`/`a1` and `s0`/`s1`
-    are the bit-clear and bit-set halves of the amplitudes and the scratch.
-    `flipped_*` is the amplitudes with the two halves swapped and
-    `scratch_*` the scratch: as (2^wire, 2, 2^(q-wire-1)*K) for a shared RY
-    factor of shape (2, 1), and as the 4-axis view for a per-row one of
-    shape (2, 1, K). Both keep the memory order, so numpy's inner loop runs
-    along the rows.
-    """
-
-    __slots__ = ("a0", "a1", "s0", "s1", "flipped_shared", "flipped_rows",
-                 "scratch_shared", "scratch_rows")
-
-    def __init__(self, state: StateVector, wire: int):
-        amps = state.amplitudes
-        if state._scratch is None:
-            state._scratch = _aligned_empty(amps.shape)
-        rows = amps.shape[1] if amps.ndim == 2 else 1
-        split = (1 << wire, 2, 1 << (state.num_qubits - wire - 1), rows)
-        view, scratch = amps.reshape(split), state._scratch.reshape(split)
-        self.a0, self.a1 = view[:, 0], view[:, 1]
-        self.s0, self.s1 = scratch[:, 0], scratch[:, 1]
-        self.flipped_rows, self.scratch_rows = view[:, ::-1], scratch
-        folded = (1 << wire, 2, -1)
-        self.flipped_shared = amps.reshape(folded)[:, ::-1]
-        self.scratch_shared = state._scratch.reshape(folded)
-
-
-def _views(state: StateVector, wire: int) -> _WireViews:
-    views = state._wire_views[wire]
-    if views is None:
-        views = state._wire_views[wire] = _WireViews(state, wire)
-    return views
+def _split(values: np.ndarray, wire: int) -> np.ndarray:
+    """View (2^wire, 2, rest) of a (2^q,) or (2^q, K) array, the rows folded
+    into the last axis; axis 1 is the wire's bit."""
+    return values.reshape(1 << wire, 2, -1)
 
 
 def apply_h(state: StateVector, wire: int) -> StateVector:
     """Hadamard on one wire of every row, in place: (a0 + a1, a0 - a1) of
     the amplitudes scaled by 2^-1/2."""
     _check_wire(state, wire)
-    views = _views(state, wire)
-    np.multiply(state.amplitudes, _INV_SQRT2, out=state._scratch)
-    np.add(views.s0, views.s1, out=views.a0)
-    np.subtract(views.s0, views.s1, out=views.a1)
+    amps = state.amplitudes
+    scaled = amps * _INV_SQRT2
+    view, other = _split(amps, wire), _split(scaled, wire)
+    a0, a1 = other[:, 0], other[:, 1]
+    np.add(a0, a1, view[:, 0])
+    np.subtract(a0, a1, view[:, 1])
     return state
 
 
@@ -146,15 +98,13 @@ class Rotation:
     one raises ValueError. A lone Python float goes through math.cos/sin and
     arrays through np.cos/np.sin; the two must return the same bits for a
     batch row to equal its single-row run, which tests/test_batched.py
-    checks. `cos` has the angles' shape; `flip` puts two axes before it,
-    of 2 and 1, holding (-sin, sin): the factors apply_ry puts on the
-    swapped halves of a wire. `rotation[index]` is the Rotation of
-    `angles[index]`, made by indexing the stored arrays without a
+    checks. `rotation[index]` is the Rotation of
+    `angles[index]`, made by indexing the stored cos and sin without a
     second check: an index that picks one angle gives a shared-angle gate,
     one that picks a (K,) vector gives a per-row gate of a K-row state.
     """
 
-    __slots__ = ("cos", "flip")
+    __slots__ = ("cos", "sin")
 
     def __init__(self, angles):
         if not isinstance(angles, float):
@@ -165,24 +115,17 @@ class Rotation:
         if isinstance(half, float):
             if not math.isfinite(half):
                 raise ValueError(f"non-finite rotation angle: {angles!r}")
-            self.cos, sin = math.cos(half), math.sin(half)
-            self.flip = np.array(((-sin,), (sin,)))
+            self.cos, self.sin = math.cos(half), math.sin(half)
         else:
             # count_nonzero reads a mask faster than ndarray.all does.
             if np.count_nonzero(np.isfinite(half)) < half.size:
                 raise ValueError(f"non-finite rotation angle in {angles!r}")
-            self.cos, sin = np.cos(half), np.sin(half)
-            self.flip = np.stack((-sin, sin))[:, None]
+            self.cos, self.sin = np.cos(half), np.sin(half)
 
     def __getitem__(self, index) -> "Rotation":
         view = Rotation.__new__(Rotation)
-        view.cos = self.cos[index]
-        view.flip = self.flip[_PAIR + index if isinstance(index, tuple) else _PAIR + (index,)]
+        view.cos, view.sin = self.cos[index], self.sin[index]
         return view
-
-
-# Put before a Rotation index, keeps flip's two leading axes.
-_PAIR = (slice(None), slice(None))
 
 
 def apply_ry(state: StateVector, wire: int, theta) -> StateVector:
@@ -197,20 +140,20 @@ def apply_ry(state: StateVector, wire: int, theta) -> StateVector:
     _check_wire(state, wire)
     amps = state.amplitudes
     rot = theta if isinstance(theta, Rotation) else Rotation(theta)
-    c, flip = rot.cos, rot.flip
-    views = _views(state, wire)
-    # (c*a0 + (-s)*a1, c*a1 + s*a0), the same bits as c*a0 - s*a1: the
-    # swapped halves times (-s, s) go to the scratch, then the amplitudes
-    # scale by c and add it, c and s broadcast along the rows axis.
-    if flip.ndim == 2:
-        np.multiply(views.flipped_shared, flip, out=views.scratch_shared)
-    else:
+    c, s = rot.cos, rot.sin
+    if not isinstance(c, float) and c.shape:
         rows = amps.shape[1] if amps.ndim == 2 else 1
-        if flip.shape != (2, 1, rows):
-            raise ValueError(f"{flip.shape[2:]} rotation angles for {rows} state rows")
-        np.multiply(views.flipped_rows, flip, out=views.scratch_rows)
+        if c.shape != (rows,):
+            raise ValueError(f"{c.shape} rotation angles for {rows} state rows")
+    # (c*a0 - s*a1, s*a0 + c*a1): c and s broadcast along the rows axis of
+    # the whole array, then the two halves of the wire split combine.
+    scaled = amps * s
     amps *= c
-    amps += state._scratch
+    view, other = _split(amps, wire), _split(scaled, wire)
+    a0 = view[:, 0]
+    np.subtract(a0, other[:, 1], a0)
+    a1 = view[:, 1]
+    np.add(a1, other[:, 0], a1)
     return state
 
 
@@ -220,23 +163,18 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     _check_wire(state, target)
     if control == target:
         raise IndexError(f"control and target coincide (wire {control})")
-    views = state._cnot_views.get((control, target))
-    if views is None:
-        lo, hi = sorted((control, target))
-        # Nested split over both wires, rows folded into the last axis: axes
-        # 1 and 3 carry the two bits. Within the control-set half, reversing
-        # the target axis swaps the amplitude pairs.
-        view = state.amplitudes.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-        if control < target:
-            control_set = view[:, 1]
-            views = (control_set, control_set[:, :, ::-1])
-        else:
-            control_set = view[:, :, :, 1]
-            views = (control_set, control_set[:, ::-1])
-        state._cnot_views[(control, target)] = views
-    # numpy copies the overlapping source before assigning.
-    control_set, swapped = views
-    control_set[...] = swapped
+    lo, hi = sorted((control, target))
+    # Nested split over both wires, rows folded into the last axis: axes 1
+    # and 3 carry the two bits. Within the control-set half, reversing the
+    # target axis swaps the amplitude pairs; numpy copies the overlapping
+    # source before assigning.
+    view = state.amplitudes.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    if control < target:
+        control_set = view[:, 1]
+        control_set[...] = control_set[:, :, ::-1]
+    else:
+        control_set = view[:, :, :, 1]
+        control_set[...] = control_set[:, ::-1]
     return state
 
 

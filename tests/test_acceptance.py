@@ -6,7 +6,6 @@ criterion 7 needs a machine with at least 8 hardware threads and skips
 elsewhere.
 """
 import os
-import statistics
 import sys
 import time
 from contextlib import contextmanager
@@ -166,49 +165,30 @@ def test_criterion_4_small_set_accuracy(small_set_n1_run):
         assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
 
-def _forward_seconds_per_round(qubits, depth=6, rounds=12, seconds=1.2):
-    """Mean time of one single-circuit forward at each qubit count, once a
-    round: {q: [seconds, one per round]}.
-
-    Every count is timed in turn in each of `rounds` rounds, about
-    seconds / rounds of calls a turn, so neighbouring counts of one round
-    run within a fraction of a second of each other and see about the same
-    host speed.
-    """
-    runs = {}
-    for q in qubits:
-        rng = np.random.default_rng(q)
-        args = (
-            CircuitSpec(q, depth),
-            rng.uniform(-np.pi, np.pi, (depth, q)),
-            rng.uniform(-np.pi, np.pi, q),
-        )
-        quantum_forward(*args)  # warm up
+def _best_forward_seconds(q, depth=6, target=0.4):
+    rng = np.random.default_rng(q)
+    spec = CircuitSpec(q, depth)
+    params = rng.uniform(-np.pi, np.pi, (depth, q))
+    embed = rng.uniform(-np.pi, np.pi, q)
+    quantum_forward(spec, params, embed)  # warm up
+    t0 = time.perf_counter()
+    quantum_forward(spec, params, embed)
+    reps = max(3, int(target / (time.perf_counter() - t0)))
+    best = float("inf")
+    for _ in range(3):
         t0 = time.perf_counter()
-        quantum_forward(*args)
-        runs[q] = args, max(3, int(seconds / rounds / (time.perf_counter() - t0)))
-    times = {q: [] for q in qubits}
-    for _ in range(rounds):
-        for q, (args, reps) in runs.items():
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                quantum_forward(*args)
-            times[q].append((time.perf_counter() - t0) / reps)
-    return times
+        for _ in range(reps):
+            quantum_forward(spec, params, embed)
+        best = min(best, (time.perf_counter() - t0) / reps)
+    return best
 
 
 def test_criterion_5_qubit_cost_doubles():
     with criterion(5, "circuit wall time grows 1.6x-2.8x per added qubit (q=12..16)"):
-        times = _forward_seconds_per_round(range(12, 17))
-        # Each round's ratio of neighbouring counts, then the median over
-        # rounds: a slow or fast spell of the host moves a few rounds' ratios
-        # rather than one count's whole measurement.
-        ratios = {
-            q: statistics.median(b / a for a, b in zip(times[q - 1], times[q]))
-            for q in range(13, 17)
-        }
+        times = {q: _best_forward_seconds(q) for q in range(12, 17)}
+        ratios = {q: times[q] / times[q - 1] for q in range(13, 17)}
         for q, ratio in ratios.items():
-            assert 1.6 <= ratio <= 2.8, f"ratio into q={q}: {ratio:.2f} ({ratios})"
+            assert 1.6 <= ratio <= 2.8, f"ratio into q={q}: {ratio:.2f} ({times})"
 
 
 def test_criterion_6_epoch_linearity():

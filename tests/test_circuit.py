@@ -66,35 +66,6 @@ def test_forward_shape_mismatch():
         quantum_forward(spec, np.zeros((2, 3)), np.zeros(4))
 
 
-def test_kept_state_starts_each_call_from_zero(monkeypatch):
-    monkeypatch.setattr(circuit, "_kept_states", {})
-    spec = CircuitSpec(qubits=3, depth=2)
-    rng = np.random.default_rng(9)
-    first, second = rng.uniform(-np.pi, np.pi, (2, 2, 3))
-    embeds = rng.uniform(-np.pi, np.pi, (4, 3))
-    fresh = quantum_forward(spec, first, embeds)
-    kept = circuit._kept_states[(3, 4)]
-    quantum_forward(spec, second, embeds)
-    again = quantum_forward(spec, first, embeds)
-    assert circuit._kept_states[(3, 4)] is kept
-    assert fresh.tobytes() == again.tobytes()
-
-
-def test_kept_states_are_few_and_small(monkeypatch):
-    monkeypatch.setattr(circuit, "_kept_states", {})
-    monkeypatch.setattr(circuit, "BATCH_AMPLITUDES", 16)
-    spec = CircuitSpec(qubits=1, depth=1)
-    for rows in range(1, circuit.KEPT_STATES + 3):
-        quantum_forward(spec, np.zeros((1, 1)), np.zeros((rows, 1)))
-    # The most recent shapes are kept, the oldest dropped.
-    assert list(circuit._kept_states) == [(1, rows) for rows in range(3, circuit.KEPT_STATES + 3)]
-    # Chunks hold at most 16 amplitudes unless one row alone is larger, as
-    # a 5-qubit one is: that state is run and not kept.
-    kept = dict(circuit._kept_states)
-    quantum_forward(CircuitSpec(qubits=5, depth=1), np.zeros((1, 5)), np.zeros(5))
-    assert circuit._kept_states == kept
-
-
 def test_forward_outputs_bounded_and_symmetric_at_zero():
     rng = np.random.default_rng(19)
     for q, d in [(2, 1), (4, 3), (5, 2)]:
