@@ -13,7 +13,13 @@ d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
 A call checks its arguments' shapes, then turns all of its angles into one
 qsim.Rotation for the embedding and one for the thetas (where they are
-checked finite), and hands each gate its indexed view of those.
+checked finite), and hands each gate its indexed view of those. A caller
+that has converted its angles already passes the two rows-last Rotations
+instead. param_shift_grad does so: its B*(1 + 2n) shifted circuits use
+only three values of each of their n angles (unshifted, +pi/2, -pi/2), so
+it converts those 3n values per sample (the thetas' once for all samples)
+in one Rotation and gathers the batch's per-row tables from it with a
+cached integer index.
 """
 from __future__ import annotations
 
@@ -77,8 +83,26 @@ def _check_args(spec: CircuitSpec, thetas: np.ndarray, embed_angles: np.ndarray)
         )
 
 
+def _check_rotations(spec: CircuitSpec, theta_rot, embed_rot) -> None:
+    q, d = spec.qubits, spec.depth
+    if not (isinstance(theta_rot, qsim.Rotation) and isinstance(embed_rot, qsim.Rotation)):
+        raise ConfigurationError(
+            "thetas and embed_angles must both be arrays or both qsim.Rotation, got "
+            f"{type(theta_rot).__name__} and {type(embed_rot).__name__}"
+        )
+    embed_shape, theta_shape = np.shape(embed_rot.cos), np.shape(theta_rot.cos)
+    if len(embed_shape) != 2 or embed_shape[0] != q:
+        raise ConfigurationError(f"embed Rotation shape {embed_shape} != ({q}, K)")
+    if theta_shape not in ((d, q), (d, q, embed_shape[1])):
+        raise ConfigurationError(
+            f"theta Rotation shape {theta_shape} != ({d}, {q}) or ({d}, {q}, {embed_shape[1]})"
+        )
+
+
 def quantum_forward(
-    spec: CircuitSpec, thetas: np.ndarray, embed_angles: np.ndarray
+    spec: CircuitSpec,
+    thetas: np.ndarray | qsim.Rotation,
+    embed_angles: np.ndarray | qsim.Rotation,
 ) -> np.ndarray:
     """Run the circuit; returns the per-wire Z expectations.
 
@@ -88,19 +112,30 @@ def quantum_forward(
     one (2^q, K) state and returns (K, q); thetas are then shared, shape
     (depth, q), or one set per row, shape (K, depth, q). Each row's result
     equals the single-circuit call's exactly. A non-finite angle raises
-    ValueError (from qsim.Rotation) before any circuit runs. Counts K
-    circuit evaluations.
+    ValueError (from qsim.Rotation) before any circuit runs.
+
+    Angles already converted may be passed instead as two rows-last
+    qsim.Rotations: embed_angles of shape (q, K) and thetas of shape
+    (depth, q) or (depth, q, K). They are used as they are, without a
+    second finiteness check, and the result is (K, q). Passing one
+    Rotation and one array, or Rotations of the wrong shapes, raises
+    ConfigurationError. Either way the call counts K circuit evaluations.
     """
     global _forward_evals
-    embed_angles = np.asarray(embed_angles, dtype=float)
-    _check_args(spec, thetas, embed_angles)
-    embeds = embed_angles.reshape(-1, spec.qubits)
-    k = len(embeds)
-    # Rows last, like the state: embed_rot[i] and theta_rot[layer, i] are
-    # one gate's angle, shared or a (K,) vector with one per row.
-    embed_rot = qsim.Rotation(embeds.T)
-    shared = thetas.ndim == 2
-    theta_rot = qsim.Rotation(thetas if shared else thetas.transpose(1, 2, 0))
+    if isinstance(thetas, qsim.Rotation) or isinstance(embed_angles, qsim.Rotation):
+        _check_rotations(spec, thetas, embed_angles)
+        theta_rot, embed_rot, single = thetas, embed_angles, False
+    else:
+        thetas = np.asarray(thetas, dtype=float)
+        embed_angles = np.asarray(embed_angles, dtype=float)
+        _check_args(spec, thetas, embed_angles)
+        # Rows last, like the state: embed_rot[i] and theta_rot[layer, i] are
+        # one gate's angle, shared or a (K,) vector with one per row.
+        embed_rot = qsim.Rotation(embed_angles.reshape(-1, spec.qubits).T)
+        theta_rot = qsim.Rotation(thetas if thetas.ndim == 2 else thetas.transpose(1, 2, 0))
+        single = embed_angles.ndim == 1
+    k = embed_rot.cos.shape[1]
+    shared = np.ndim(theta_rot.cos) == 2
     _forward_evals += k
 
     out = np.empty((k, spec.qubits))
@@ -110,7 +145,7 @@ def quantum_forward(
         out[rows] = _run_rows(
             spec, theta_rot if shared else theta_rot[..., rows], embed_rot[:, rows]
         )
-    return out[0] if embed_angles.ndim == 1 else out
+    return out[0] if single else out
 
 
 def _run_rows(
@@ -135,16 +170,37 @@ def _run_rows(
     return qsim.expect_z_all(state)
 
 
+# The three values an angle takes in a parameter-shift batch: unshifted,
+# +pi/2 and -pi/2. All three are formed as sums, the unshifted one as
+# angle + 0.0, which turns a -0.0 angle into +0.0 (its sin changes sign).
+_SHIFTS = np.array([0.0, np.pi / 2.0, -np.pi / 2.0])
+
+
 @functools.lru_cache(maxsize=16)
-def _shift_table(n: int) -> np.ndarray:
-    """The read-only (1 + 2n, n) parameter-shift offsets: row 0 is zero, and
-    rows 2p+1 and 2p+2 add +pi/2 and -pi/2 to angle p."""
-    table = np.zeros((1 + 2 * n, n))
+def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather indices of a B-sample parameter-shift batch.
+
+    The batch's angle values are laid out flat as 3 per angle (`_SHIFTS`
+    order): the d*q thetas in row-major order, then the q embedding angles
+    of each sample. Row r = s*k + j of the batch (k = 1 + 2n circuits per
+    sample, n = d*q + q) is sample s's circuit j: j = 0 is unshifted and
+    j = 2p+1, 2p+2 move angle p (thetas, then the embedding) by +pi/2 and
+    -pi/2. Returns the rows-last (d, q, B*k) theta index and (q, B*k)
+    embedding index into that layout.
+    """
+    n_t, n = d * q, d * q + q
+    k = 1 + 2 * n
     p = np.arange(n)
-    table[2 * p + 1, p] = np.pi / 2.0
-    table[2 * p + 2, p] = -np.pi / 2.0
-    table.setflags(write=False)
-    return table
+    shift = np.zeros((n, k), dtype=np.intp)  # [p, j]: which of _SHIFTS
+    shift[p, 2 * p + 1] = 1
+    shift[p, 2 * p + 2] = 2
+    theta_rows = 3 * np.arange(n_t)[:, None] + shift[:n_t]
+    theta_index = np.tile(theta_rows, (1, b)).reshape(d, q, b * k)
+    embed_rows = n_t + q * np.arange(b)[None, :, None] + np.arange(q)[:, None, None]
+    embed_index = (3 * embed_rows + shift[n_t:, None, :]).reshape(q, b * k)
+    theta_index.setflags(write=False)
+    embed_index.setflags(write=False)
+    return theta_index, embed_index
 
 
 def param_shift_grad(
@@ -160,9 +216,13 @@ def param_shift_grad(
     For a batch of B samples, embed_angles (B, q), each result gains a
     leading B axis and row b equals the single-sample call on embed_angles[b]
     exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample; all
-    B samples run as one quantum_forward batch, whose angles are the base
-    angles plus the cached shift table (`_shift_table`) in one broadcast add.
+    B samples run as one quantum_forward batch. An angle takes only three
+    values in it (unshifted, +pi/2, -pi/2), so one qsim.Rotation converts
+    those, the thetas once for all samples, and the batch's rows-last
+    tables are gathered from it through the cached `_shift_index`. A
+    non-finite angle raises ValueError before any circuit runs.
     """
+    thetas = np.asarray(thetas, dtype=float)
     embed_angles = np.asarray(embed_angles, dtype=float)
     q, d = spec.qubits, spec.depth
     if (
@@ -175,18 +235,12 @@ def param_shift_grad(
             f"param_shift_grad takes thetas ({d}, {q}) and embed_angles ({q},) "
             f"or (B, {q}) with B >= 1, got {thetas.shape} and {embed_angles.shape}"
         )
-    # Per sample, row 0 is the unshifted point; rows 2p+1 and 2p+2 shift
-    # angle p (thetas in row-major order, then the embedding angles) by +pi/2
-    # and -pi/2.
     embeds = embed_angles.reshape(-1, q)
-    b, n, k = len(embeds), d * q + q, circuit_evals_per_sample(spec)
-    base = np.empty((b, 1, n))
-    base[:, 0, : d * q] = thetas.ravel()
-    base[:, 0, d * q :] = embeds
-    angles = base + _shift_table(n)
-    thetas_rows = angles[:, :, : d * q].reshape(b * k, d, q)
-    embed_rows = angles[:, :, d * q :].reshape(b * k, q)
-    out = quantum_forward(spec, thetas_rows, embed_rows).reshape(b, k, q)
+    b, k = len(embeds), circuit_evals_per_sample(spec)
+    base = np.concatenate((thetas.ravel(), embeds.ravel()))
+    rot = qsim.Rotation((base[:, None] + _SHIFTS).ravel())
+    theta_index, embed_index = _shift_index(d, q, b)
+    out = quantum_forward(spec, rot[theta_index], rot[embed_index]).reshape(b, k, q)
     diffs = (out[:, 1::2] - out[:, 2::2]) / 2.0  # [b, p]: d out / d angle p
     jac_thetas = diffs[:, : d * q].transpose(0, 2, 1).reshape(b, q, d, q)
     jac_embed = diffs[:, d * q :].transpose(0, 2, 1)

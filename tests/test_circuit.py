@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dressedq import ConfigurationError, circuit_evals_per_sample, param_shift_grad, quantum_forward
-from dressedq import circuit
+from dressedq import circuit, qsim
 from dressedq.circuit import CircuitSpec, forward_eval_count
 
 from oracle import expect_z_dense, run_circuit_dense
@@ -64,6 +64,55 @@ def test_forward_shape_mismatch():
         quantum_forward(spec, np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ConfigurationError):
         quantum_forward(spec, np.zeros((2, 3)), np.zeros(4))
+
+
+def test_list_angles_equal_arrays():
+    spec = CircuitSpec(2, 1)
+    thetas, embeds = [[0.1, -0.2]], [[0.3, 0.4], [-0.5, 0.6]]
+    for embed in (embeds, embeds[0]):
+        got = quantum_forward(spec, thetas, embed)
+        assert got.tobytes() == quantum_forward(spec, np.array(thetas), np.array(embed)).tobytes()
+        got = param_shift_grad(spec, thetas, embed)
+        want = param_shift_grad(spec, np.array(thetas), np.array(embed))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    for bad in ([0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]):
+        for call in (quantum_forward, param_shift_grad):
+            with pytest.raises(ConfigurationError):
+                call(spec, bad, embeds)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_forward_takes_rows_last_rotations(shared):
+    rng = np.random.default_rng(53)
+    spec, k = CircuitSpec(3, 2), 5
+    thetas = rng.uniform(-4.0, 4.0, size=(2, 3) if shared else (k, 2, 3))
+    embeds = rng.uniform(-4.0, 4.0, size=(k, 3))
+    theta_rot = qsim.Rotation(thetas if shared else thetas.transpose(1, 2, 0))
+    embed_rot = qsim.Rotation(embeds.T)
+    before = forward_eval_count()
+    got = quantum_forward(spec, theta_rot, embed_rot)
+    assert forward_eval_count() - before == k
+    assert got.tobytes() == quantum_forward(spec, thetas, embeds).tobytes()
+
+
+def test_forward_rejects_mixed_or_misshaped_rotations():
+    spec, k = CircuitSpec(3, 2), 4
+    thetas, embeds = np.zeros((2, 3, k)), np.zeros((3, k))
+    bad = [
+        (qsim.Rotation(thetas), embeds.T),  # one Rotation, one array
+        (thetas.transpose(2, 0, 1), qsim.Rotation(embeds)),
+        (qsim.Rotation(thetas), qsim.Rotation(np.zeros((3, k + 1)))),  # K differs
+        (qsim.Rotation(thetas), qsim.Rotation(np.zeros((2, k)))),  # q
+        (qsim.Rotation(np.zeros((2, 2, k))), qsim.Rotation(embeds)),
+        (qsim.Rotation(np.zeros((1, 3))), qsim.Rotation(embeds)),  # depth
+        (qsim.Rotation(np.zeros((3, 3, k))), qsim.Rotation(embeds)),
+        (qsim.Rotation(thetas), qsim.Rotation(np.zeros(3))),  # embed not rows-last
+    ]
+    before = forward_eval_count()
+    for theta_arg, embed_arg in bad:
+        with pytest.raises(ConfigurationError):
+            quantum_forward(spec, theta_arg, embed_arg)
+    assert forward_eval_count() == before
 
 
 def test_forward_outputs_bounded_and_symmetric_at_zero():
@@ -164,13 +213,35 @@ def test_param_shift_entries_equal_explicit_shifted_runs(q, d, b):
             assert np.array_equal(got, expected), (row, p)
 
 
-def test_shift_table_is_cached_and_read_only():
-    table = circuit._shift_table(6)
-    assert circuit._shift_table(6) is table
-    assert table.shape == (13, 6)
-    assert np.count_nonzero(table) == 12
-    with pytest.raises(ValueError):
-        table[1, 0] = 0.0
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("b", [1, 3])
+def test_param_shift_non_finite_angle_raises_before_running(bad, b):
+    spec = CircuitSpec(2, 1)
+    before = forward_eval_count()
+    thetas, embeds = np.zeros((1, 2)), np.zeros((b, 2))
+    bad_thetas = thetas.copy()
+    bad_thetas[0, 1] = bad
+    bad_embeds = embeds.copy()
+    bad_embeds[-1, 0] = bad
+    for t, e in ((bad_thetas, embeds), (thetas, bad_embeds)):
+        with pytest.raises(ValueError):
+            param_shift_grad(spec, t, e[0] if b == 1 else e)
+    assert forward_eval_count() == before
+
+
+def test_shift_index_is_cached_and_read_only():
+    # d=2, q=3, B=2: n = 9 angles, k = 19 circuits per sample.
+    theta_index, embed_index = circuit._shift_index(2, 3, 2)
+    assert circuit._shift_index(2, 3, 2)[0] is theta_index
+    assert theta_index.shape == (2, 3, 38) and embed_index.shape == (3, 38)
+    for index in (theta_index, embed_index):
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+    # Each angle's three values (unshifted, +pi/2, -pi/2) sit at 3a..3a+2:
+    # thetas are a = 0..5, sample s's embedding angles a = 6 + 3s + i.
+    assert np.array_equal(np.unique(theta_index[1, 2]), [15, 16, 17])
+    assert np.array_equal(np.unique(embed_index[2, 19:]), [33, 34, 35])
+    assert theta_index[0, 1, 19 + 3] == 3 * 1 + 1 and embed_index[0, 2 * 6 + 2] == 3 * 6 + 2
 
 
 @pytest.mark.parametrize(
