@@ -11,15 +11,16 @@ Circuit layout (fixed):
 Gradients use the exact parameter-shift rule for RY generators:
 d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
-A call checks its arguments' shapes, then turns all of its angles into one
-qsim.Rotation for the embedding and one for the thetas (where they are
-checked finite), and hands each gate its indexed view of those. A caller
-that has converted its angles already passes the two rows-last Rotations
-instead. param_shift_grad does so: its B*(1 + 2n) shifted circuits use
-only three values of each of their n angles (unshifted, +pi/2, -pi/2), so
-it converts those 3n values per sample (the thetas' once for all samples)
-in one Rotation and gathers the batch's per-row tables from it with a
-cached integer index.
+Both entry points take angles rows first, the layout of a batch: thetas
+(depth, q) or (K, depth, q) and embedding angles (q,) or (K, q). Either
+argument may also be a qsim.Rotation of that shape, whose angles are
+converted already. quantum_forward checks the shapes of its arguments, turns
+each plain one into a Rotation (where its angles are checked finite) and
+hands each gate an indexed view. param_shift_grad passes Rotations: its
+B*(1 + 2n) shifted circuits use only three values of each of their n angles
+(unshifted, +pi/2, -pi/2), so it converts those 3n values per sample (the
+thetas' once for all samples) in one Rotation and gathers the batch's
+per-row tables from it with a cached integer index.
 """
 from __future__ import annotations
 
@@ -71,32 +72,25 @@ class CircuitSpec:
             raise ConfigurationError(f"depth={self.depth} outside 0..{MAX_DEPTH}")
 
 
-def _check_args(spec: CircuitSpec, thetas: np.ndarray, embed_angles: np.ndarray):
+def _check_args(spec: CircuitSpec, thetas, embed_angles) -> None:
     q, d = spec.qubits, spec.depth
-    if embed_angles.ndim not in (1, 2) or embed_angles.shape[-1] != q:
+    embed_shape, theta_shape = _shape(embed_angles), _shape(thetas)
+    if len(embed_shape) not in (1, 2) or embed_shape[-1] != q:
         raise ConfigurationError(
-            f"embed_angles shape {embed_angles.shape} != ({q},) or (K, {q})"
+            f"embed_angles shape {embed_shape} != ({q},) or (K, {q})"
         )
-    if thetas.shape not in ((d, q), (*embed_angles.shape[:-1], d, q)):
+    if theta_shape not in ((d, q), (*embed_shape[:-1], d, q)):
         raise ConfigurationError(
-            f"thetas shape {thetas.shape} != ({d}, {q}) or (K, {d}, {q})"
+            f"thetas shape {theta_shape} != ({d}, {q}) or (K, {d}, {q})"
         )
 
 
-def _check_rotations(spec: CircuitSpec, theta_rot, embed_rot) -> None:
-    q, d = spec.qubits, spec.depth
-    if not (isinstance(theta_rot, qsim.Rotation) and isinstance(embed_rot, qsim.Rotation)):
-        raise ConfigurationError(
-            "thetas and embed_angles must both be arrays or both qsim.Rotation, got "
-            f"{type(theta_rot).__name__} and {type(embed_rot).__name__}"
-        )
-    embed_shape, theta_shape = np.shape(embed_rot.cos), np.shape(theta_rot.cos)
-    if len(embed_shape) != 2 or embed_shape[0] != q:
-        raise ConfigurationError(f"embed Rotation shape {embed_shape} != ({q}, K)")
-    if theta_shape not in ((d, q), (d, q, embed_shape[1])):
-        raise ConfigurationError(
-            f"theta Rotation shape {theta_shape} != ({d}, {q}) or ({d}, {q}, {embed_shape[1]})"
-        )
+def _shape(angles) -> tuple[int, ...]:
+    return np.shape(angles.cos if isinstance(angles, qsim.Rotation) else angles)
+
+
+def _rotation(angles) -> qsim.Rotation:
+    return angles if isinstance(angles, qsim.Rotation) else qsim.Rotation(angles)
 
 
 def quantum_forward(
@@ -111,31 +105,24 @@ def quantum_forward(
     shape (q,). A batch of shape (K, q) runs K circuits as the columns of
     one (2^q, K) state and returns (K, q); thetas are then shared, shape
     (depth, q), or one set per row, shape (K, depth, q). Each row's result
-    equals the single-circuit call's exactly. A non-finite angle raises
-    ValueError (from qsim.Rotation) before any circuit runs.
+    equals the single-circuit call's exactly, and the call counts K circuit
+    evaluations.
 
-    Angles already converted may be passed instead as two rows-last
-    qsim.Rotations: embed_angles of shape (q, K) and thetas of shape
-    (depth, q) or (depth, q, K). They are used as they are, without a
-    second finiteness check, and the result is (K, q). Passing one
-    Rotation and one array, or Rotations of the wrong shapes, raises
-    ConfigurationError. Either way the call counts K circuit evaluations.
+    Either argument may be plain angles or a qsim.Rotation of the same
+    shape, independently of the other. A wrong shape of either form raises
+    ConfigurationError, and a non-finite plain angle ValueError (from
+    qsim.Rotation), before any circuit runs; a Rotation is used as it is.
     """
     global _forward_evals
-    if isinstance(thetas, qsim.Rotation) or isinstance(embed_angles, qsim.Rotation):
-        _check_rotations(spec, thetas, embed_angles)
-        theta_rot, embed_rot, single = thetas, embed_angles, False
-    else:
-        thetas = np.asarray(thetas, dtype=float)
-        embed_angles = np.asarray(embed_angles, dtype=float)
-        _check_args(spec, thetas, embed_angles)
-        # Rows last, like the state: embed_rot[i] and theta_rot[layer, i] are
-        # one gate's angle, shared or a (K,) vector with one per row.
-        embed_rot = qsim.Rotation(embed_angles.reshape(-1, spec.qubits).T)
-        theta_rot = qsim.Rotation(thetas if thetas.ndim == 2 else thetas.transpose(1, 2, 0))
-        single = embed_angles.ndim == 1
-    k = embed_rot.cos.shape[1]
-    shared = np.ndim(theta_rot.cos) == 2
+    _check_args(spec, thetas, embed_angles)
+    # embed_rot[:, i] and theta_rot[layer, i] or theta_rot[:, layer, i]
+    # are one gate's angle, shared or a (K,) vector with one per row.
+    theta_rot, embed_rot = _rotation(thetas), _rotation(embed_angles)
+    single = embed_rot.cos.ndim == 1
+    if single:
+        embed_rot = embed_rot[None]
+    k = embed_rot.cos.shape[0]
+    shared = theta_rot.cos.ndim == 2
     _forward_evals += k
 
     out = np.empty((k, spec.qubits))
@@ -143,7 +130,7 @@ def quantum_forward(
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
         out[rows] = _run_rows(
-            spec, theta_rot if shared else theta_rot[..., rows], embed_rot[:, rows]
+            spec, theta_rot if shared else theta_rot[rows], embed_rot[rows]
         )
     return out[0] if single else out
 
@@ -152,21 +139,22 @@ def _run_rows(
     spec: CircuitSpec, theta_rot: qsim.Rotation, embed_rot: qsim.Rotation
 ) -> np.ndarray:
     """The circuit layout on a rows-last (2^q, K) state, circuit k in
-    column k; embed_rot holds (q, K) angles, theta_rot (d, q) shared ones
-    or (d, q, K) per-row ones. Returns the (K, q) Z expectations."""
+    column k; embed_rot holds (K, q) angles, theta_rot (d, q) shared ones
+    or (K, d, q) per-row ones. Returns the (K, q) Z expectations."""
     q = spec.qubits
-    state = qsim.new_zero_state(q, rows=embed_rot.cos.shape[1])
+    shared = theta_rot.cos.ndim == 2
+    state = qsim.new_zero_state(q, rows=embed_rot.cos.shape[0])
     for i in range(q):
         qsim.apply_h(state, i)
     for i in range(q):
-        qsim.apply_ry(state, i, embed_rot[i])
+        qsim.apply_ry(state, i, embed_rot[:, i])
     for layer in range(spec.depth):
         for i in range(0, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(1, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(q):
-            qsim.apply_ry(state, i, theta_rot[layer, i])
+            qsim.apply_ry(state, i, theta_rot[layer, i] if shared else theta_rot[:, layer, i])
     return qsim.expect_z_all(state)
 
 
@@ -185,8 +173,12 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     of each sample. Row r = s*k + j of the batch (k = 1 + 2n circuits per
     sample, n = d*q + q) is sample s's circuit j: j = 0 is unshifted and
     j = 2p+1, 2p+2 move angle p (thetas, then the embedding) by +pi/2 and
-    -pi/2. Returns the rows-last (d, q, B*k) theta index and (q, B*k)
-    embedding index into that layout.
+    -pi/2. Returns the rows-first (B*k, d, q) theta index and (B*k, q)
+    embedding index into that layout, both in Fortran order: a gather
+    keeps its index's memory layout, so each gate's column of the gathered
+    tables is contiguous, and numpy gathers through a Fortran-ordered index
+    as fast as through a C-ordered one (through a transposed view, about
+    3x slower).
     """
     n_t, n = d * q, d * q + q
     k = 1 + 2 * n
@@ -198,6 +190,9 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     theta_index = np.tile(theta_rows, (1, b)).reshape(d, q, b * k)
     embed_rows = n_t + q * np.arange(b)[None, :, None] + np.arange(q)[:, None, None]
     embed_index = (3 * embed_rows + shift[n_t:, None, :]).reshape(q, b * k)
+    # Fortran order: rows first, yet each (layer, wire) column contiguous.
+    theta_index = np.asfortranarray(theta_index.transpose(2, 0, 1))
+    embed_index = np.asfortranarray(embed_index.T)
     theta_index.setflags(write=False)
     embed_index.setflags(write=False)
     return theta_index, embed_index
@@ -218,9 +213,10 @@ def param_shift_grad(
     exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample; all
     B samples run as one quantum_forward batch. An angle takes only three
     values in it (unshifted, +pi/2, -pi/2), so one qsim.Rotation converts
-    those, the thetas once for all samples, and the batch's rows-last
-    tables are gathered from it through the cached `_shift_index`. A
-    non-finite angle raises ValueError before any circuit runs.
+    those, the thetas once for all samples, and the batch's (B*k, d, q)
+    and (B*k, q) tables are gathered from it through the cached
+    `_shift_index` and passed to quantum_forward as Rotations. A non-finite
+    angle raises ValueError before any circuit runs.
     """
     thetas = np.asarray(thetas, dtype=float)
     embed_angles = np.asarray(embed_angles, dtype=float)

@@ -197,6 +197,10 @@ def main(argv=None) -> str:
     if args.seed < 0:
         parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     out = args.out or f"{args.sweep}-{time.strftime('%Y%m%d-%H%M%S')}.csv"
+    # Checked before any training, so that a bad path loses no results.
+    out_dir = os.path.dirname(out) or "."
+    if os.path.isdir(out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        parser.error(f"argument --out: cannot write {out}")
 
     if args.dataset:
         flag = "--dataset"

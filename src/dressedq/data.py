@@ -35,6 +35,8 @@ class Dataset:
             raise ConfigurationError("labels shape inconsistent with features")
         if not np.all(np.isfinite(self.features)):
             raise ConfigurationError("non-finite feature values")
+        if not np.array_equal(self.labels, np.trunc(self.labels)):  # NaN fails too
+            raise ConfigurationError("labels must be whole numbers")
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise ConfigurationError("label outside 0..num_classes-1")
 
@@ -165,7 +167,7 @@ def shard(
     if num_workers > n:
         raise ConfigurationError(f"{num_workers} workers but only {n} samples")
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed & (2**64 - 1), epoch]))
+        np.random.PCG64(np.random.SeedSequence([seed, epoch]))
     )
     perm = rng.permutation(n)
     keep = (n // num_workers) * num_workers
@@ -189,7 +191,7 @@ def train_val_split(
         raise ConfigurationError("validation split would consume the whole dataset")
     # Distinct stream from the epoch shuffles: second entropy word 2^32.
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed & (2**64 - 1), 2**32]))
+        np.random.PCG64(np.random.SeedSequence([seed, 2**32]))
     )
     perm = rng.permutation(n)
     val_idx = np.sort(perm[:n_val])

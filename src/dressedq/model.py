@@ -124,6 +124,8 @@ class TrainConfig:
             raise ConfigurationError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0 <= self.momentum < math.inf:
             raise ConfigurationError(f"momentum must be finite and >= 0, got {self.momentum}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.lr_scaling not in ("linear", "none"):
             raise ConfigurationError(f"unknown lr_scaling {self.lr_scaling!r}")
 

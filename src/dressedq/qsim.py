@@ -94,11 +94,11 @@ def apply_h(state: StateVector, wire: int) -> StateVector:
 class Rotation:
     """cos and sin of half of RY angles of any shape, the angles checked finite.
 
-    `Rotation(angles)` takes a lone angle or an array of them; a non-finite
-    one raises ValueError. A lone Python float goes through math.cos/sin and
-    arrays through np.cos/np.sin; the two must return the same bits for a
-    batch row to equal its single-row run, which tests/test_batched.py
-    checks. `rotation[index]` is the Rotation of
+    `Rotation(angles)` takes a lone angle or an array of them, converts
+    them through numpy as float64 and raises ValueError for a non-finite
+    one. A lone angle gives numpy float64 scalars, not 0-d arrays, and any
+    angle gets the same bits alone as in an array, so a batch row equals
+    its single-row run. `rotation[index]` is the Rotation of
     `angles[index]`, made by indexing the stored cos and sin without a
     second check: an index that picks one angle gives a shared-angle gate,
     one that picks a (K,) vector gives a per-row gate of a K-row state.
@@ -107,20 +107,11 @@ class Rotation:
     __slots__ = ("cos", "sin")
 
     def __init__(self, angles):
-        if not isinstance(angles, float):
-            angles = np.asarray(angles, dtype=float)
-            if angles.ndim == 0:
-                angles = float(angles)
-        half = angles / 2.0
-        if isinstance(half, float):
-            if not math.isfinite(half):
-                raise ValueError(f"non-finite rotation angle: {angles!r}")
-            self.cos, self.sin = math.cos(half), math.sin(half)
-        else:
-            # count_nonzero reads a mask faster than ndarray.all does.
-            if np.count_nonzero(np.isfinite(half)) < half.size:
-                raise ValueError(f"non-finite rotation angle in {angles!r}")
-            self.cos, self.sin = np.cos(half), np.sin(half)
+        half = np.asarray(angles, dtype=float) / 2.0
+        # count_nonzero reads a mask faster than ndarray.all does.
+        if np.count_nonzero(np.isfinite(half)) < half.size:
+            raise ValueError(f"non-finite rotation angle in {angles!r}")
+        self.cos, self.sin = np.cos(half), np.sin(half)
 
     def __getitem__(self, index) -> "Rotation":
         view = Rotation.__new__(Rotation)
@@ -141,7 +132,7 @@ def apply_ry(state: StateVector, wire: int, theta) -> StateVector:
     amps = state.amplitudes
     rot = theta if isinstance(theta, Rotation) else Rotation(theta)
     c, s = rot.cos, rot.sin
-    if not isinstance(c, float) and c.shape:
+    if c.shape:
         rows = amps.shape[1] if amps.ndim == 2 else 1
         if c.shape != (rows,):
             raise ValueError(f"{c.shape} rotation angles for {rows} state rows")

@@ -20,7 +20,7 @@ from dressedq import (
     param_shift_grad,
     quantum_forward,
 )
-from dressedq import circuit, model
+from dressedq import circuit, model, qsim
 from dressedq.circuit import CircuitSpec, forward_eval_count
 from dressedq.model import batch_gradient
 
@@ -161,12 +161,17 @@ def test_chunked_batch_equals_single_chunk(monkeypatch):
     spec = CircuitSpec(3, 2)
     params = rng.uniform(-np.pi, np.pi, (2, 3))
     embeds = rng.uniform(-np.pi, np.pi, (7, 3))
+    per_row = rng.uniform(-np.pi, np.pi, (7, 2, 3))
     whole = quantum_forward(spec, params, embeds)
+    whole_per_row = quantum_forward(spec, per_row, embeds)
     # Two rows per chunk: chunks of 2, 2, 2 and 1 rows.
     monkeypatch.setattr(circuit, "BATCH_AMPLITUDES", 2 << spec.qubits)
     assert np.array_equal(quantum_forward(spec, params, embeds), whole)
     _, _, value = param_shift_grad(spec, params, embeds[0])
     assert np.array_equal(value, whole[0])
+    # Per-row thetas cross the chunk boundaries with their rows.
+    for thetas in (per_row, qsim.Rotation(per_row)):
+        assert np.array_equal(quantum_forward(spec, thetas, embeds), whole_per_row)
 
 
 def test_ry_angle_count_must_match_rows():

@@ -82,31 +82,40 @@ def test_list_angles_equal_arrays():
 
 
 @pytest.mark.parametrize("shared", [True, False])
-def test_forward_takes_rows_last_rotations(shared):
+def test_forward_takes_rotations_or_arrays_alike(shared):
+    # Rows first either way: thetas (d, q) or (K, d, q), embeddings (K, q)
+    # or (q,), each an array or a Rotation independently of the other.
     rng = np.random.default_rng(53)
     spec, k = CircuitSpec(3, 2), 5
     thetas = rng.uniform(-4.0, 4.0, size=(2, 3) if shared else (k, 2, 3))
     embeds = rng.uniform(-4.0, 4.0, size=(k, 3))
-    theta_rot = qsim.Rotation(thetas if shared else thetas.transpose(1, 2, 0))
-    embed_rot = qsim.Rotation(embeds.T)
-    before = forward_eval_count()
-    got = quantum_forward(spec, theta_rot, embed_rot)
-    assert forward_eval_count() - before == k
-    assert got.tobytes() == quantum_forward(spec, thetas, embeds).tobytes()
+    want = quantum_forward(spec, thetas, embeds).tobytes()
+    for theta_arg in (thetas, qsim.Rotation(thetas)):
+        for embed_arg in (embeds, qsim.Rotation(embeds)):
+            before = forward_eval_count()
+            got = quantum_forward(spec, theta_arg, embed_arg)
+            assert forward_eval_count() - before == k
+            assert got.tobytes() == want
+    if shared:
+        want = quantum_forward(spec, thetas, embeds[1]).tobytes()
+        for embed_arg in (embeds[1], qsim.Rotation(embeds[1])):
+            got = quantum_forward(spec, qsim.Rotation(thetas), embed_arg)
+            assert got.shape == (3,) and got.tobytes() == want
 
 
-def test_forward_rejects_mixed_or_misshaped_rotations():
+def test_forward_rejects_misshaped_rotations():
     spec, k = CircuitSpec(3, 2), 4
-    thetas, embeds = np.zeros((2, 3, k)), np.zeros((3, k))
+    thetas, embeds = np.zeros((k, 2, 3)), np.zeros((k, 3))
     bad = [
-        (qsim.Rotation(thetas), embeds.T),  # one Rotation, one array
-        (thetas.transpose(2, 0, 1), qsim.Rotation(embeds)),
-        (qsim.Rotation(thetas), qsim.Rotation(np.zeros((3, k + 1)))),  # K differs
-        (qsim.Rotation(thetas), qsim.Rotation(np.zeros((2, k)))),  # q
-        (qsim.Rotation(np.zeros((2, 2, k))), qsim.Rotation(embeds)),
+        (qsim.Rotation(thetas), qsim.Rotation(np.zeros((k + 1, 3)))),  # K differs
+        (qsim.Rotation(thetas), np.zeros((k + 1, 3))),
+        (thetas, qsim.Rotation(np.zeros((k, 2)))),  # q
+        (qsim.Rotation(np.zeros((k, 2, 2))), embeds),
         (qsim.Rotation(np.zeros((1, 3))), qsim.Rotation(embeds)),  # depth
-        (qsim.Rotation(np.zeros((3, 3, k))), qsim.Rotation(embeds)),
-        (qsim.Rotation(thetas), qsim.Rotation(np.zeros(3))),  # embed not rows-last
+        (qsim.Rotation(np.zeros((k, 3, 3))), qsim.Rotation(embeds)),
+        (qsim.Rotation(thetas.transpose(1, 2, 0)), qsim.Rotation(embeds.T)),  # rows last
+        (qsim.Rotation(thetas), qsim.Rotation(np.zeros(3))),  # per-row thetas, one embedding
+        (qsim.Rotation(np.zeros((2, 3))), qsim.Rotation(0.5)),  # lone angle
     ]
     before = forward_eval_count()
     for theta_arg, embed_arg in bad:
@@ -233,15 +242,20 @@ def test_shift_index_is_cached_and_read_only():
     # d=2, q=3, B=2: n = 9 angles, k = 19 circuits per sample.
     theta_index, embed_index = circuit._shift_index(2, 3, 2)
     assert circuit._shift_index(2, 3, 2)[0] is theta_index
-    assert theta_index.shape == (2, 3, 38) and embed_index.shape == (3, 38)
+    assert theta_index.shape == (38, 2, 3) and embed_index.shape == (38, 3)
     for index in (theta_index, embed_index):
         with pytest.raises(ValueError):
             index[0, 0] = 0
+    # Each gate's column of the index, and so of a gather through it, is
+    # contiguous.
+    table = np.arange(3 * 12.0)
+    for column in (theta_index[:, 1, 2], embed_index[:, 2], table[theta_index][:, 0, 1]):
+        assert column.flags.c_contiguous
     # Each angle's three values (unshifted, +pi/2, -pi/2) sit at 3a..3a+2:
     # thetas are a = 0..5, sample s's embedding angles a = 6 + 3s + i.
-    assert np.array_equal(np.unique(theta_index[1, 2]), [15, 16, 17])
-    assert np.array_equal(np.unique(embed_index[2, 19:]), [33, 34, 35])
-    assert theta_index[0, 1, 19 + 3] == 3 * 1 + 1 and embed_index[0, 2 * 6 + 2] == 3 * 6 + 2
+    assert np.array_equal(np.unique(theta_index[:, 1, 2]), [15, 16, 17])
+    assert np.array_equal(np.unique(embed_index[19:, 2]), [33, 34, 35])
+    assert theta_index[19 + 3, 0, 1] == 3 * 1 + 1 and embed_index[2 * 6 + 2, 0] == 3 * 6 + 2
 
 
 @pytest.mark.parametrize(

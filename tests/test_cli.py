@@ -78,6 +78,16 @@ def test_non_utf8_dataset_file_is_an_argparse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+def test_unwritable_out_is_an_argparse_error_before_training(tmp_path, capsys, where):
+    before = forward_eval_count()
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(tmp_path / where), "--sweep", "qubits", "--qubits", "2", *TINY])
+    assert info.value.code == 2
+    assert "argument --out: cannot write" in capsys.readouterr().err
+    assert forward_eval_count() == before
+
+
 @pytest.mark.parametrize(
     "flags, quantity",
     [

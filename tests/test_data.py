@@ -20,6 +20,10 @@ def test_dataset_width_is_its_features_width():
     assert ds.feature_dim == 5 and ds.subset(np.array([0, 2])).feature_dim == 5
     with pytest.raises(ConfigurationError, match=r"\(3,\) is not \(n, D\)"):
         Dataset(np.zeros(3), np.zeros(3, dtype=np.int64), 2)
+    for labels in (np.array([0.5, 1.0, 0.0]), np.array([0.0, np.nan, 1.0])):
+        with pytest.raises(ConfigurationError, match="whole numbers"):
+            Dataset(np.zeros((3, 5)), labels, 2)
+    assert Dataset(np.zeros((3, 5)), np.array([0.0, 1.0, 1.0]), 2).num_classes == 2
 
 
 def test_datasets_compare_by_identity():
@@ -264,3 +268,11 @@ def test_train_val_split_disjoint_and_deterministic():
     assert np.array_equal(held, held2)
     assert np.array_equal(val.features, val2.features)
     assert np.array_equal(train.features, train2.features)
+
+
+def test_seeds_past_64_bits_are_not_folded():
+    ds = generate_synthetic(50, 4, 2, 1.0, seed=6)
+    for seed in (5, 2**63 + 5):
+        other = seed + 2**64
+        assert not np.array_equal(shard(ds, 1, 0, 0, seed), shard(ds, 1, 0, 0, other))
+        assert not np.array_equal(train_val_split(ds, 0.2, seed)[2], train_val_split(ds, 0.2, other)[2])

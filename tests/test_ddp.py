@@ -51,6 +51,12 @@ def test_config_rejects_non_finite_or_negative_rates(field, value):
         TrainConfig(**{field: value})
 
 
+def test_config_rejects_negative_seed():
+    assert TrainConfig(seed=0).seed == 0
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+
+
 def test_allreduce_opposite_gradients_cancel():
     _, model = make_problem()
     g = random_grads(np.random.default_rng(1), model)

@@ -111,6 +111,16 @@ def test_ry_rotation_equals_plain_angles(angle):
         assert plain.amplitudes.tobytes() == rotated.amplitudes.tobytes()
 
 
+def test_lone_angle_rotation_is_float64_scalars_equal_to_array_entries():
+    angles = np.random.default_rng(8).uniform(-7.0, 7.0, size=50)
+    table = Rotation(angles)
+    for i, angle in enumerate(angles):
+        for lone in (float(angle), angle, np.array(angle)):
+            rotation = Rotation(lone)
+            assert type(rotation.cos) is np.float64 and type(rotation.sin) is np.float64
+            assert rotation.cos == table.cos[i] and rotation.sin == table.sin[i]
+
+
 def test_rotation_views_equal_their_angles():
     angles = np.random.default_rng(4).uniform(-7.0, 7.0, size=(2, 3, 5))
     rotation = Rotation(angles)
