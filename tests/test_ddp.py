@@ -44,17 +44,11 @@ def test_scale_lr():
 @pytest.mark.parametrize(
     "field, value",
     [("base_lr", np.nan), ("base_lr", np.inf), ("momentum", np.nan), ("momentum", np.inf),
-     ("momentum", -0.1)],
+     ("momentum", -0.1), ("seed", -1)],
 )
 def test_config_rejects_non_finite_or_negative_rates(field, value):
     with pytest.raises(ConfigurationError, match=field):
         TrainConfig(**{field: value})
-
-
-def test_config_rejects_negative_seed():
-    assert TrainConfig(seed=0).seed == 0
-    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
-        TrainConfig(seed=-1)
 
 
 def test_allreduce_opposite_gradients_cancel():
