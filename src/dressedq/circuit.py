@@ -115,8 +115,6 @@ def quantum_forward(
     """
     global _forward_evals
     _check_args(spec, thetas, embed_angles)
-    # embed_rot[:, i] and theta_rot[layer, i] or theta_rot[:, layer, i]
-    # are one gate's angle, shared or a (K,) vector with one per row.
     theta_rot, embed_rot = _rotation(thetas), _rotation(embed_angles)
     single = embed_rot.cos.ndim == 1
     if single:
@@ -190,7 +188,6 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     theta_index = np.tile(theta_rows, (1, b)).reshape(d, q, b * k)
     embed_rows = n_t + q * np.arange(b)[None, :, None] + np.arange(q)[:, None, None]
     embed_index = (3 * embed_rows + shift[n_t:, None, :]).reshape(q, b * k)
-    # Fortran order: rows first, yet each (layer, wire) column contiguous.
     theta_index = np.asfortranarray(theta_index.transpose(2, 0, 1))
     embed_index = np.asfortranarray(embed_index.T)
     theta_index.setflags(write=False)
