@@ -275,4 +275,5 @@ def test_seeds_past_64_bits_are_not_folded():
     for seed in (5, 2**63 + 5):
         other = seed + 2**64
         assert not np.array_equal(shard(ds, 1, 0, 0, seed), shard(ds, 1, 0, 0, other))
-        assert not np.array_equal(train_val_split(ds, 0.2, seed)[2], train_val_split(ds, 0.2, other)[2])
+        held, held_other = train_val_split(ds, 0.2, seed)[2], train_val_split(ds, 0.2, other)[2]
+        assert not np.array_equal(held, held_other)
