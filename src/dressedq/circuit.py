@@ -11,12 +11,12 @@ Circuit layout (fixed):
 Gradients use the exact parameter-shift rule for RY generators:
 d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
-Both entry points take angles rows first, the layout of a batch: thetas
-(depth, q) or (K, depth, q) and embedding angles (q,) or (K, q). Either
-argument may also be a qsim.Rotation of that shape, whose angles are
-converted already. quantum_forward checks the shapes of its arguments, turns
-each plain one into a Rotation (where its angles are checked finite) and
-hands each gate an indexed view. param_shift_grad passes Rotations: its
+Angles go in rows first, the layout of a batch: thetas (depth, q), or
+(K, depth, q) with one set per circuit for quantum_forward, and embedding
+angles (q,) or (K, q). quantum_forward also takes either argument as a
+qsim.Rotation of that shape, converted already. It checks the shapes of its arguments, turns each
+plain one into a Rotation (where its angles are checked finite) and hands
+each gate an indexed view. param_shift_grad passes Rotations: its
 B*(1 + 2n) shifted circuits use only three values of each of their n angles
 (unshifted, +pi/2, -pi/2), so it converts those 3n values per sample (the
 thetas' once for all samples) in one Rotation and gathers the batch's
