@@ -14,13 +14,10 @@ d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 Angles go in rows first, the layout of a batch: thetas (depth, q), or
 (K, depth, q) with one set per circuit for quantum_forward, and embedding
 angles (q,) or (K, q). quantum_forward also takes either argument as a
-qsim.Rotation of that shape, converted already. It checks the shapes of its arguments, turns each
-plain one into a Rotation (where its angles are checked finite) and hands
-each gate an indexed view. param_shift_grad passes Rotations: its
-B*(1 + 2n) shifted circuits use only three values of each of their n angles
-(unshifted, +pi/2, -pi/2), so it converts those 3n values per sample (the
-thetas' once for all samples) in one Rotation and gathers the batch's
-per-row tables from it with a cached integer index.
+qsim.Rotation of that shape, converted already. It checks the shapes of
+its arguments, turns each plain one into a Rotation (where its angles are
+checked finite) and hands each gate an indexed view; param_shift_grad
+applies the same shape check and hands it Rotations.
 """
 from __future__ import annotations
 
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim
-from .errors import ConfigurationError
+from .errors import ConfigurationError, whole_number
 
 MAX_DEPTH = 64
 
@@ -58,18 +55,16 @@ def add_forward_evals(count: int) -> None:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Circuit topology: qubit count and number of entangling layers."""
+    """Circuit topology: qubit count and number of entangling layers, whole
+    numbers in 1..qsim.MAX_QUBITS and 0..MAX_DEPTH, else ConfigurationError
+    naming the field."""
 
     qubits: int = 4
     depth: int = 6
 
     def __post_init__(self):
-        if not (1 <= self.qubits <= qsim.MAX_QUBITS):
-            raise ConfigurationError(
-                f"qubits={self.qubits} outside 1..{qsim.MAX_QUBITS}"
-            )
-        if not (0 <= self.depth <= MAX_DEPTH):
-            raise ConfigurationError(f"depth={self.depth} outside 0..{MAX_DEPTH}")
+        whole_number("qubits", self.qubits, 1, qsim.MAX_QUBITS)
+        whole_number("depth", self.depth, 0, MAX_DEPTH)
 
 
 def _check_args(spec: CircuitSpec, thetas, embed_angles) -> None:
@@ -212,21 +207,19 @@ def param_shift_grad(
     values in it (unshifted, +pi/2, -pi/2), so one qsim.Rotation converts
     those, the thetas once for all samples, and the batch's (B*k, d, q)
     and (B*k, q) tables are gathered from it through the cached
-    `_shift_index` and passed to quantum_forward as Rotations. A non-finite
-    angle raises ValueError before any circuit runs.
+    `_shift_index` and passed to quantum_forward as Rotations. Shapes are
+    checked by quantum_forward's rule, with thetas shared and B >= 1, and a
+    wrong one raises ConfigurationError; a non-finite angle raises
+    ValueError. Both happen before any circuit runs.
     """
     thetas = np.asarray(thetas, dtype=float)
     embed_angles = np.asarray(embed_angles, dtype=float)
     q, d = spec.qubits, spec.depth
-    if (
-        thetas.shape != (d, q)
-        or embed_angles.ndim not in (1, 2)
-        or embed_angles.shape[-1] != q
-        or embed_angles.size == 0
-    ):
+    _check_args(spec, thetas, embed_angles)
+    if thetas.shape != (d, q) or embed_angles.size == 0:
         raise ConfigurationError(
-            f"param_shift_grad takes thetas ({d}, {q}) and embed_angles ({q},) "
-            f"or (B, {q}) with B >= 1, got {thetas.shape} and {embed_angles.shape}"
+            f"param_shift_grad takes shared thetas ({d}, {q}) and B >= 1 samples, "
+            f"got {thetas.shape} and {embed_angles.shape}"
         )
     embeds = embed_angles.reshape(-1, q)
     b, k = len(embeds), circuit_evals_per_sample(spec)

@@ -1,7 +1,12 @@
 """Datasets, synthetic generation, CSV I/O, and the distributed sampler.
 
-All randomness goes through numpy's PCG64 seeded from explicit integers,
-so datasets and shards reproduce exactly across runs and platforms.
+All randomness goes through `seeded_rng(seed, *stream)`, the one place a
+seed is checked (a whole number >= 0, else ConfigurationError naming it)
+and becomes a PCG64 generator, seeded by the entropy words
+[seed, *stream], so datasets, shards and initial weights reproduce exactly
+across runs and platforms. The stream keys: none for generate_synthetic
+and model.init_model (one stream), the epoch for shard, 2^32 for
+train_val_split.
 
 CSV layout: one sample per line, integer label first, then the D feature
 values as decimal floats. No header, UTF-8, LF or CRLF endings. `load_csv`
@@ -16,7 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, whole_number
+
+
+def seeded_rng(seed, *stream: int) -> np.random.Generator:
+    """The PCG64 generator seeded by the entropy words [seed, *stream]; a
+    seed that is not a whole number >= 0 raises ConfigurationError naming
+    it."""
+    seed = whole_number("seed", seed, 0)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream])))
 
 
 @dataclass(eq=False)
@@ -63,7 +76,7 @@ def generate_synthetic(
     collapses all classes onto one isotropic Gaussian (chance-level task).
     """
     check_synthetic_sizes(n, feature_dim, num_classes, margin)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     directions = _simplex_directions(rng, num_classes, feature_dim)
     centers = margin * directions
 
@@ -166,10 +179,7 @@ def shard(
         raise ConfigurationError(f"worker_id {worker_id} outside 0..{num_workers - 1}")
     if num_workers > n:
         raise ConfigurationError(f"{num_workers} workers but only {n} samples")
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, epoch]))
-    )
-    perm = rng.permutation(n)
+    perm = seeded_rng(seed, epoch).permutation(n)
     keep = (n // num_workers) * num_workers
     return perm[:keep][worker_id::num_workers]
 
@@ -184,16 +194,16 @@ def batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
 def train_val_split(
     dataset: Dataset, val_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset, np.ndarray]:
-    """Seeded-shuffle split; returns (train, val, held-out indices)."""
+    """Seeded-shuffle split; returns (train, val, held-out indices). A NaN
+    or infinite val_fraction raises ConfigurationError."""
     n = len(dataset)
+    if not np.isfinite(val_fraction):
+        raise ConfigurationError(f"val_fraction must be finite, got {val_fraction}")
     n_val = max(1, int(round(n * val_fraction)))
     if n_val >= n:
         raise ConfigurationError("validation split would consume the whole dataset")
     # Distinct stream from the epoch shuffles: second entropy word 2^32.
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, 2**32]))
-    )
-    perm = rng.permutation(n)
+    perm = seeded_rng(seed, 2**32).permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
     return dataset.subset(train_idx), dataset.subset(val_idx), val_idx

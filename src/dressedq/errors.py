@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number check
+for seeds, TrainConfig counts and CircuitSpec sizes."""
+
+import operator
 
 
 class ConfigurationError(ValueError):
@@ -15,3 +18,16 @@ class SyncError(RuntimeError):
 
 class TrainingError(RuntimeError):
     """Training aborted: non-finite gradients or a failed worker."""
+
+
+def whole_number(name: str, value, low: int, high: float = float("inf")) -> int:
+    """`value` as an int when operator.index takes it (an int or numpy
+    integer, not a float) and it lies in low..high; otherwise raise
+    ConfigurationError naming `name`."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not low <= number <= high:
+        raise ConfigurationError(f"{name} must be a whole number in {low}..{high}, got {value!r}")
+    return number

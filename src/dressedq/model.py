@@ -20,35 +20,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitSpec, param_shift_grad, quantum_forward
-from .errors import ConfigurationError, TrainingError
+from .data import seeded_rng
+from .errors import ConfigurationError, TrainingError, whole_number
 
 CHECKPOINT_MAGIC = b"HYQN1"
 
 
-def _block_shapes(
-    spec: CircuitSpec, feature_dim: int, num_classes: int
-) -> tuple[tuple[int, ...], ...]:
-    """The parameter layout: the shapes of pre_weights, pre_bias, thetas,
-    post_weights and post_bias, in the order they sit in params and in a
-    checkpoint."""
-    q, d = spec.qubits, spec.depth
-    return ((q, feature_dim), (q,), (d, q), (num_classes, q), (num_classes,))
-
-
 def _block_slices(
     spec: CircuitSpec, feature_dim: int, num_classes: int
-) -> tuple[tuple[slice, tuple[int, ...]], ...]:
-    """(slice of params, shape) of each block, in _block_shapes order."""
+) -> tuple[tuple[tuple[slice, tuple[int, ...]], ...], int]:
+    """The parameter layout: (slice of params, shape) of pre_weights,
+    pre_bias, thetas, post_weights and post_bias, in the order they sit in
+    params and in a checkpoint, and the parameter count."""
+    q, d = spec.qubits, spec.depth
     slices, start = [], 0
-    for shape in _block_shapes(spec, feature_dim, num_classes):
+    for shape in ((q, feature_dim), (q,), (d, q), (num_classes, q), (num_classes,)):
         stop = start + math.prod(shape)
         slices.append((slice(start, stop), shape))
         start = stop
-    return tuple(slices)
-
-
-def _param_count(spec: CircuitSpec, feature_dim: int, num_classes: int) -> int:
-    return _block_slices(spec, feature_dim, num_classes)[-1][0].stop
+    return tuple(slices), start
 
 
 @dataclass(eq=False)
@@ -68,8 +58,7 @@ class HybridModel:
     params: np.ndarray
 
     def __post_init__(self):
-        self._slices = _block_slices(self.spec, self.feature_dim, self.num_classes)
-        size = self._slices[-1][0].stop
+        self._slices, size = _block_slices(self.spec, self.feature_dim, self.num_classes)
         params = self.params
         if not (
             isinstance(params, np.ndarray)
@@ -118,14 +107,13 @@ class TrainConfig:
     lr_scaling: str = "linear"  # {"linear", "none"}; see lr
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.workers < 1:
-            raise ConfigurationError("epochs, batch_size and workers must be >= 1")
+        for name in ("epochs", "batch_size", "workers"):
+            whole_number(name, getattr(self, name), 1)
+        whole_number("seed", self.seed, 0)
         if not 0 < self.base_lr < math.inf:
             raise ConfigurationError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0 <= self.momentum < math.inf:
             raise ConfigurationError(f"momentum must be finite and >= 0, got {self.momentum}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.lr_scaling not in ("linear", "none"):
             raise ConfigurationError(f"unknown lr_scaling {self.lr_scaling!r}")
 
@@ -142,12 +130,13 @@ def init_model(
     """Seeded init: linear layers uniform +-1/sqrt(fan_in), angles N(0, 0.01).
 
     Small initial angles keep the circuit near identity early in training.
-    PRNG is PCG64 so runs reproduce bit-for-bit across platforms.
+    The draws come from data.seeded_rng(seed), so runs reproduce
+    bit-for-bit across platforms.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     pre_bound = 1.0 / np.sqrt(feature_dim)
     post_bound = 1.0 / np.sqrt(spec.qubits)
-    size = _param_count(spec, feature_dim, num_classes)
+    _, size = _block_slices(spec, feature_dim, num_classes)
     model = HybridModel(spec, feature_dim, num_classes, np.empty(size))
     # One draw per block in params order: the order fixes every seeded model.
     model.pre_weights[...] = rng.uniform(-pre_bound, pre_bound, model.pre_weights.shape)
@@ -346,7 +335,7 @@ def load_checkpoint(path: str) -> HybridModel:
     spec = CircuitSpec(qubits=q, depth=d)
     if dim < 1 or classes < 1:
         raise ConfigurationError(f"checkpoint dimension below 1: D={dim}, C={classes}")
-    size = _param_count(spec, dim, classes)
+    _, size = _block_slices(spec, dim, classes)
     expected = header_end + 8 * size
     if len(raw) < expected:
         raise ConfigurationError("truncated checkpoint")

@@ -31,6 +31,10 @@ def test_spec_validation():
         CircuitSpec(qubits=25)
     with pytest.raises(ConfigurationError):
         CircuitSpec(qubits=2, depth=-1)
+    with pytest.raises(ConfigurationError, match="depth"):
+        CircuitSpec(2, 1.5)
+    with pytest.raises(ConfigurationError, match="qubits"):
+        CircuitSpec(2.5, 1)
 
 
 def test_forward_identity_circuit_on_plus_states():

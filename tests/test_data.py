@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dressedq import (
+    CircuitSpec,
     ConfigurationError,
     DataFormatError,
     batches,
     generate_synthetic,
+    init_model,
     load_csv,
     shard,
     write_csv,
@@ -268,6 +270,9 @@ def test_train_val_split_disjoint_and_deterministic():
     assert np.array_equal(held, held2)
     assert np.array_equal(val.features, val2.features)
     assert np.array_equal(train.features, train2.features)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="val_fraction"):
+            train_val_split(ds, bad, seed=6)
 
 
 def test_seeds_past_64_bits_are_not_folded():
@@ -277,3 +282,20 @@ def test_seeds_past_64_bits_are_not_folded():
         assert not np.array_equal(shard(ds, 1, 0, 0, seed), shard(ds, 1, 0, 0, other))
         held, held_other = train_val_split(ds, 0.2, seed)[2], train_val_split(ds, 0.2, other)[2]
         assert not np.array_equal(held, held_other)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda ds, seed: generate_synthetic(10, 4, 2, 1.0, seed),
+        lambda ds, seed: shard(ds, 2, 0, 0, seed),
+        lambda ds, seed: train_val_split(ds, 0.2, seed),
+        lambda ds, seed: init_model(CircuitSpec(2, 1), 4, 2, seed),
+    ],
+    ids=["generate_synthetic", "shard", "train_val_split", "init_model"],
+)
+def test_bad_seed_is_a_configuration_error(draw, seed):
+    ds = generate_synthetic(10, 4, 2, 1.0, seed=0)
+    with pytest.raises(ConfigurationError, match="seed"):
+        draw(ds, seed)

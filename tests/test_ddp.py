@@ -44,7 +44,8 @@ def test_scale_lr():
 @pytest.mark.parametrize(
     "field, value",
     [("base_lr", np.nan), ("base_lr", np.inf), ("momentum", np.nan), ("momentum", np.inf),
-     ("momentum", -0.1), ("seed", -1)],
+     ("momentum", -0.1), ("seed", -1), ("seed", 1.5), ("epochs", 1.5), ("batch_size", 1.5),
+     ("workers", 1.5), ("epochs", 0)],
 )
 def test_config_rejects_non_finite_or_negative_rates(field, value):
     with pytest.raises(ConfigurationError, match=field):
