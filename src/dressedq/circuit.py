@@ -17,7 +17,24 @@ angles (q,) or (K, q). quantum_forward also takes either argument as a
 qsim.Rotation of that shape, converted already. It checks the shapes of
 its arguments, turns each plain one into a Rotation (where its angles are
 checked finite) and hands each gate an indexed view; param_shift_grad
-applies the same shape check and hands it Rotations.
+applies the same shape check and hands it Rotations, which are not
+checked again.
+
+A parameter-shift batch forks. A circuit that shifts a layer-l theta
+equals its sample's unshifted circuit until layer l's RYs, so the batch's
+rows are ordered by where they first differ: the B unshifted rows, then
+the embedding shifts, then the layer-0 shifts, then those of each later
+layer. The first three groups start as one state through H, the
+embedding and layer 0; just before layer l's RYs (l >= 1) the state grows
+by layer l's 2qB rows, copies of the B unshifted columns. The gate calls
+stay one per gate of the layout, each on fewer rows, and every amplitude
+goes through the arithmetic of an unforked run, so results are
+bit-identical to running each row from |0...0>. The batch forks only if
+all its rows fit one BATCH_AMPLITUDES chunk; otherwise they run unforked
+in chunks. The fork lives only in this simulator: a remote backend runs
+every shifted circuit from |0...0> as its own job, so
+circuit_evals_per_sample, forward_eval_count and latency.jobs_per_epoch
+still count each shifted circuit as one evaluation.
 """
 from __future__ import annotations
 
@@ -92,6 +109,8 @@ def quantum_forward(
     spec: CircuitSpec,
     thetas: np.ndarray | qsim.Rotation,
     embed_angles: np.ndarray | qsim.Rotation,
+    *,
+    fork: int | None = None,
 ) -> np.ndarray:
     """Run the circuit; returns the per-wire Z expectations.
 
@@ -107,36 +126,57 @@ def quantum_forward(
     shape, independently of the other. A wrong shape of either form raises
     ConfigurationError, and a non-finite plain angle ValueError (from
     qsim.Rotation), before any circuit runs; a Rotation is used as it is.
+
+    `fork` is for param_shift_grad only: its sample count B, with per-row
+    theta Rotations over the K rows of a B-sample shift batch in
+    `_shift_index` order and embedding Rotations over the first stage's
+    rows only. Their shapes are taken as checked.
     """
     global _forward_evals
-    _check_args(spec, thetas, embed_angles)
+    if fork is None:
+        _check_args(spec, thetas, embed_angles)
     theta_rot, embed_rot = _rotation(thetas), _rotation(embed_angles)
     single = embed_rot.cos.ndim == 1
     if single:
         embed_rot = embed_rot[None]
-    k = embed_rot.cos.shape[0]
     shared = theta_rot.cos.ndim == 2
+    k = len(embed_rot.cos if shared else theta_rot.cos)
     _forward_evals += k
 
-    out = np.empty((k, spec.qubits))
     chunk = max(1, BATCH_AMPLITUDES >> spec.qubits)
+    if fork is not None and k > chunk:
+        # Too large to fork in one chunk: every row runs from |0...0>, a
+        # row of a later stage with its sample's unshifted embedding.
+        first = len(embed_rot.cos)
+        embed_rot = embed_rot[np.r_[:first, np.arange(k - first) % fork]]
+        fork = None
+    out = np.empty((k, spec.qubits))
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
         out[rows] = _run_rows(
-            spec, theta_rot if shared else theta_rot[rows], embed_rot[rows]
+            spec, theta_rot if shared else theta_rot[rows], embed_rot[rows], fork
         )
     return out[0] if single else out
 
 
 def _run_rows(
-    spec: CircuitSpec, theta_rot: qsim.Rotation, embed_rot: qsim.Rotation
+    spec: CircuitSpec,
+    theta_rot: qsim.Rotation,
+    embed_rot: qsim.Rotation,
+    fork: int | None = None,
 ) -> np.ndarray:
     """The circuit layout on a rows-last (2^q, K) state, circuit k in
     column k; embed_rot holds (K, q) angles, theta_rot (d, q) shared ones
-    or (K, d, q) per-row ones. Returns the (K, q) Z expectations."""
+    or (K, d, q) per-row ones. Returns the (K, q) Z expectations.
+
+    With `fork` = B, the state starts with embed_rot's rows, and just
+    before each later layer's RYs it grows by that layer's 2qB shifted
+    rows, copies of its first B columns; theta_rot covers the full batch.
+    """
     q = spec.qubits
     shared = theta_rot.cos.ndim == 2
-    state = qsim.new_zero_state(q, rows=embed_rot.cos.shape[0])
+    live = embed_rot.cos.shape[0]
+    state = qsim.new_zero_state(q, rows=live)
     for i in range(q):
         qsim.apply_h(state, i)
     for i in range(q):
@@ -146,9 +186,23 @@ def _run_rows(
             qsim.apply_cnot(state, i, i + 1)
         for i in range(1, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
+        if fork and layer:
+            _grow(state, 2 * q, fork)
+            live = state.amplitudes.shape[1]
         for i in range(q):
-            qsim.apply_ry(state, i, theta_rot[layer, i] if shared else theta_rot[:, layer, i])
+            qsim.apply_ry(state, i, theta_rot[layer, i] if shared else theta_rot[:live, layer, i])
     return qsim.expect_z_all(state)
+
+
+def _grow(state: qsim.StateVector, copies: int, b: int) -> None:
+    """Grow the state by `copies` copies of its first b columns, appended
+    in a new C-contiguous amplitude array."""
+    amps = state.amplitudes
+    size, live = amps.shape
+    grown = np.empty((size, live + copies * b))
+    grown[:, :live] = amps
+    grown[:, live:].reshape(size, copies, b)[...] = amps[:, None, :b]
+    state.amplitudes = grown
 
 
 # The three values an angle takes in a parameter-shift batch: unshifted,
@@ -163,26 +217,30 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 
     The batch's angle values are laid out flat as 3 per angle (`_SHIFTS`
     order): the d*q thetas in row-major order, then the q embedding angles
-    of each sample. Row r = s*k + j of the batch (k = 1 + 2n circuits per
-    sample, n = d*q + q) is sample s's circuit j: j = 0 is unshifted and
-    j = 2p+1, 2p+2 move angle p (thetas, then the embedding) by +pi/2 and
-    -pi/2. Returns the rows-first (B*k, d, q) theta index and (B*k, q)
-    embedding index into that layout, both in Fortran order: a gather
-    keeps its index's memory layout, so each gate's column of the gathered
-    tables is contiguous, and numpy gathers through a Fortran-ordered index
-    as fast as through a C-ordered one (through a transposed view, about
-    3x slower).
+    of each sample. The batch's K = B*(1 + 2n) rows (n = d*q + q angles)
+    are ordered by the layer where they first differ from their sample's
+    unshifted circuit: the B unshifted rows, then one block of 2B rows per
+    angle, the embedding angles first and then the thetas row-major. An
+    angle's block is its +pi/2 rows, then its -pi/2 rows, each over the B
+    samples in order, so row r belongs to sample r % B. Returns the
+    rows-first (K, d, q) theta index, and the (K0, q) embedding index of
+    the first stage only: the K0 = K - 2qB*max(d-1, 0) rows that differ by
+    the end of layer 0. Both are in Fortran order: a gather keeps its
+    index's memory layout, so each gate's column of the gathered tables is
+    contiguous, and numpy gathers through a Fortran-ordered index as fast
+    as through a C-ordered one (through a transposed view, about 3x slower).
     """
     n_t, n = d * q, d * q + q
-    k = 1 + 2 * n
+    k, k0 = b * (1 + 2 * n), b * (1 + 2 * n) - 2 * q * b * max(d - 1, 0)
+    # shift[a, r]: which of _SHIFTS angle a takes in row r, nonzero only in
+    # a's own block of the shifted rows, [block, sign, sample].
     p = np.arange(n)
-    shift = np.zeros((n, k), dtype=np.intp)  # [p, j]: which of _SHIFTS
-    shift[p, 2 * p + 1] = 1
-    shift[p, 2 * p + 2] = 2
-    theta_rows = 3 * np.arange(n_t)[:, None] + shift[:n_t]
-    theta_index = np.tile(theta_rows, (1, b)).reshape(d, q, b * k)
-    embed_rows = n_t + q * np.arange(b)[None, :, None] + np.arange(q)[:, None, None]
-    embed_index = (3 * embed_rows + shift[n_t:, None, :]).reshape(q, b * k)
+    blocks = np.zeros((n, n, 2, b), dtype=np.intp)
+    blocks[p, p] = [[1], [2]]
+    shift = np.concatenate((np.zeros((n, b), dtype=np.intp), blocks.reshape(n, -1)), axis=1)
+    theta_index = (3 * np.arange(n_t)[:, None] + shift[q:]).reshape(d, q, k)
+    samples = np.arange(k0) % b
+    embed_index = 3 * (n_t + q * samples + np.arange(q)[:, None]) + shift[:q, :k0]
     theta_index = np.asfortranarray(theta_index.transpose(2, 0, 1))
     embed_index = np.asfortranarray(embed_index.T)
     theta_index.setflags(write=False)
@@ -205,12 +263,12 @@ def param_shift_grad(
     exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample; all
     B samples run as one quantum_forward batch. An angle takes only three
     values in it (unshifted, +pi/2, -pi/2), so one qsim.Rotation converts
-    those, the thetas once for all samples, and the batch's (B*k, d, q)
-    and (B*k, q) tables are gathered from it through the cached
-    `_shift_index` and passed to quantum_forward as Rotations. Shapes are
-    checked by quantum_forward's rule, with thetas shared and B >= 1, and a
-    wrong one raises ConfigurationError; a non-finite angle raises
-    ValueError. Both happen before any circuit runs.
+    those, the thetas once for all samples, and the batch's tables are
+    gathered from it through the cached `_shift_index` and passed to
+    quantum_forward as Rotations, with `fork=B`. Shapes are checked here
+    by quantum_forward's rule, with thetas shared and B >= 1, and a wrong
+    one raises ConfigurationError; a non-finite angle raises ValueError.
+    Both happen before any circuit runs.
     """
     thetas = np.asarray(thetas, dtype=float)
     embed_angles = np.asarray(embed_angles, dtype=float)
@@ -222,17 +280,24 @@ def param_shift_grad(
             f"got {thetas.shape} and {embed_angles.shape}"
         )
     embeds = embed_angles.reshape(-1, q)
-    b, k = len(embeds), circuit_evals_per_sample(spec)
+    b = len(embeds)
     base = np.concatenate((thetas.ravel(), embeds.ravel()))
     rot = qsim.Rotation((base[:, None] + _SHIFTS).ravel())
     theta_index, embed_index = _shift_index(d, q, b)
-    out = quantum_forward(spec, rot[theta_index], rot[embed_index]).reshape(b, k, q)
-    diffs = (out[:, 1::2] - out[:, 2::2]) / 2.0  # [b, p]: d out / d angle p
-    jac_thetas = diffs[:, : d * q].transpose(0, 2, 1).reshape(b, q, d, q)
-    jac_embed = diffs[:, d * q :].transpose(0, 2, 1)
+    out = quantum_forward(spec, rot[theta_index], rot[embed_index], fork=b)
+    # d out / d angle as [b, p, o], angle p in fork order (the embedding,
+    # then thetas row-major). The Jacobians keep the strides they had before
+    # the fork: those decide the order in which backward's matmuls sum, and
+    # so their last bits.
+    shifted = out[b:].reshape(-1, 2, b, q)
+    diffs = np.empty((b, d * q + q, q))
+    np.subtract(shifted[:, 0], shifted[:, 1], out=diffs.transpose(1, 0, 2))
+    diffs /= 2.0
+    jac_thetas = diffs[:, q:].transpose(0, 2, 1).reshape(b, q, d, q)
+    jac_embed = diffs[:, :q].transpose(0, 2, 1)
     if embed_angles.ndim == 1:
-        return jac_thetas[0], jac_embed[0], out[0, 0]
-    return jac_thetas, jac_embed, out[:, 0]
+        return jac_thetas[0], jac_embed[0], out[0]
+    return jac_thetas, jac_embed, out[:b]
 
 
 def circuit_evals_per_sample(spec: CircuitSpec) -> int:

@@ -93,14 +93,14 @@ def generate_synthetic(
 
 
 def check_synthetic_sizes(n: int, feature_dim: int, num_classes: int, margin: float) -> None:
-    """Raise ValueError unless generate_synthetic accepts these sizes."""
-    if n < num_classes or feature_dim < 1 or num_classes < 1 or not 0 <= margin < np.inf:
-        raise ValueError(
-            f"invalid synthetic sizes: n={n}, D={feature_dim}, "
-            f"C={num_classes}, margin={margin}"
-        )
-    if feature_dim < num_classes:
-        raise ValueError("feature_dim must be >= num_classes")
+    """Raise ConfigurationError unless generate_synthetic accepts these
+    sizes: whole numbers num_classes >= 1, n >= num_classes and
+    feature_dim >= num_classes, and a finite margin >= 0."""
+    num_classes = whole_number("num_classes", num_classes, 1)
+    whole_number("n", n, num_classes)
+    whole_number("feature_dim", feature_dim, num_classes)
+    if not 0 <= margin < np.inf:
+        raise ConfigurationError(f"margin must be finite and >= 0, got {margin!r}")
 
 
 def _simplex_directions(rng, num_classes: int, feature_dim: int) -> np.ndarray:
@@ -172,22 +172,23 @@ def shard(
 
     The shuffle is seeded by (seed, epoch) only, so all workers agree on the
     permutation; the list is truncated to floor(n/N)*N and dealt round-robin,
-    giving every worker exactly the same number of samples.
+    giving every worker exactly the same number of samples. num_workers
+    (1..n), worker_id (0..num_workers-1) and epoch (>= 0) are whole
+    numbers, else ConfigurationError naming the field.
     """
     n = len(dataset)
-    if not (0 <= worker_id < num_workers):
-        raise ConfigurationError(f"worker_id {worker_id} outside 0..{num_workers - 1}")
-    if num_workers > n:
-        raise ConfigurationError(f"{num_workers} workers but only {n} samples")
+    num_workers = whole_number("num_workers", num_workers, 1, n)
+    whole_number("worker_id", worker_id, 0, num_workers - 1)
+    epoch = whole_number("epoch", epoch, 0)
     perm = seeded_rng(seed, epoch).permutation(n)
     keep = (n // num_workers) * num_workers
     return perm[:keep][worker_id::num_workers]
 
 
 def batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    """Contiguous chunks of an index array; the final chunk may be short."""
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
+    """Contiguous chunks of an index array; the final chunk may be short.
+    batch_size is a whole number >= 1, else ConfigurationError."""
+    whole_number("batch_size", batch_size, 1)
     return [indices[i : i + batch_size] for i in range(0, len(indices), batch_size)]
 
 

@@ -31,7 +31,11 @@ def _block_slices(
 ) -> tuple[tuple[tuple[slice, tuple[int, ...]], ...], int]:
     """The parameter layout: (slice of params, shape) of pre_weights,
     pre_bias, thetas, post_weights and post_bias, in the order they sit in
-    params and in a checkpoint, and the parameter count."""
+    params and in a checkpoint, and the parameter count. feature_dim and
+    num_classes must be whole numbers >= 1, else ConfigurationError naming
+    the field."""
+    whole_number("feature_dim", feature_dim, 1)
+    whole_number("num_classes", num_classes, 1)
     q, d = spec.qubits, spec.depth
     slices, start = [], 0
     for shape in ((q, feature_dim), (q,), (d, q), (num_classes, q), (num_classes,)):
@@ -50,6 +54,8 @@ class HybridModel:
     and post_bias (C,) are views into it, so params is updated in place and
     never rebound. Gradients and velocities are vectors of the same layout.
     A copy or a pickle round trip rebuilds the views over its own params.
+    feature_dim and num_classes are whole numbers >= 1 (ConfigurationError
+    naming the field), checked here and in init_model before any draw.
     """
 
     spec: CircuitSpec
@@ -133,10 +139,10 @@ def init_model(
     The draws come from data.seeded_rng(seed), so runs reproduce
     bit-for-bit across platforms.
     """
+    _, size = _block_slices(spec, feature_dim, num_classes)
     rng = seeded_rng(seed)
     pre_bound = 1.0 / np.sqrt(feature_dim)
     post_bound = 1.0 / np.sqrt(spec.qubits)
-    _, size = _block_slices(spec, feature_dim, num_classes)
     model = HybridModel(spec, feature_dim, num_classes, np.empty(size))
     # One draw per block in params order: the order fixes every seeded model.
     model.pre_weights[...] = rng.uniform(-pre_bound, pre_bound, model.pre_weights.shape)

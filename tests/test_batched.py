@@ -174,6 +174,40 @@ def test_chunked_batch_equals_single_chunk(monkeypatch):
         assert np.array_equal(quantum_forward(spec, thetas, embeds), whole_per_row)
 
 
+def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
+    # q=3, d=3, B=5: 125 rows, 65 of them in the first stage. The batch fits
+    # one chunk and forks; with 16-row chunks it runs unforked from |0...0>.
+    rng = np.random.default_rng(8)
+    spec = CircuitSpec(3, 3)
+    thetas = rng.uniform(-np.pi, np.pi, (3, 3))
+    embeds = rng.uniform(-np.pi, np.pi, (5, 3))
+    started, measured = [], []
+    zero_state, expect = qsim.new_zero_state, qsim.expect_z_all
+
+    def starting(q, rows):
+        started.append(rows)
+        return zero_state(q, rows)
+
+    def measuring(state):
+        measured.append(state.amplitudes.shape)
+        return expect(state)
+
+    monkeypatch.setattr(qsim, "new_zero_state", starting)
+    monkeypatch.setattr(qsim, "expect_z_all", measuring)
+    results = []
+    for limit, starts, ends in ((circuit.BATCH_AMPLITUDES, [65], [125]),
+                                (16 << 3, [16] * 7 + [13], [16] * 7 + [13])):
+        monkeypatch.setattr(circuit, "BATCH_AMPLITUDES", limit)
+        started.clear()
+        measured.clear()
+        before = forward_eval_count()
+        results.append([x.tobytes() for x in param_shift_grad(spec, thetas, embeds)])
+        assert forward_eval_count() - before == 5 * (1 + 2 * (3 * 3 + 3))
+        assert started == starts
+        assert measured == [(8, rows) for rows in ends]
+    assert results[0] == results[1]
+
+
 def test_ry_angle_count_must_match_rows():
     with pytest.raises(ValueError, match="for 3 state rows"):
         apply_ry(new_zero_state(2, rows=3), 0, np.zeros(2))

@@ -198,8 +198,8 @@ def test_param_shift_value_matches_forward():
     assert np.array_equal(value, quantum_forward(spec, params, embed))
 
 
-@pytest.mark.parametrize("b", [1, 3])
-@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("b", [1, 3, 5])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_param_shift_entries_equal_explicit_shifted_runs(q, d, b):
     # Every Jacobian entry against its two shifted circuits, each run as its
@@ -243,10 +243,11 @@ def test_param_shift_non_finite_angle_raises_before_running(bad, b):
 
 
 def test_shift_index_is_cached_and_read_only():
-    # d=2, q=3, B=2: n = 9 angles, k = 19 circuits per sample.
+    # d=2, q=3, B=2: n = 9 angles, K = 38 rows, 26 of them in the first
+    # stage (2 unshifted, then 4 per embedding angle and per layer-0 theta).
     theta_index, embed_index = circuit._shift_index(2, 3, 2)
     assert circuit._shift_index(2, 3, 2)[0] is theta_index
-    assert theta_index.shape == (38, 2, 3) and embed_index.shape == (38, 3)
+    assert theta_index.shape == (38, 2, 3) and embed_index.shape == (26, 3)
     for index in (theta_index, embed_index):
         with pytest.raises(ValueError):
             index[0, 0] = 0
@@ -258,8 +259,21 @@ def test_shift_index_is_cached_and_read_only():
     # Each angle's three values (unshifted, +pi/2, -pi/2) sit at 3a..3a+2:
     # thetas are a = 0..5, sample s's embedding angles a = 6 + 3s + i.
     assert np.array_equal(np.unique(theta_index[:, 1, 2]), [15, 16, 17])
-    assert np.array_equal(np.unique(embed_index[19:, 2]), [33, 34, 35])
-    assert theta_index[19 + 3, 0, 1] == 3 * 1 + 1 and embed_index[2 * 6 + 2, 0] == 3 * 6 + 2
+    assert np.array_equal(np.unique(embed_index[1::2, 2]), [33, 34, 35])
+    # Row r is sample r % 2's circuit: the 2 unshifted rows, then per angle
+    # (embedding, then thetas row-major) its +pi/2 rows and its -pi/2 rows.
+    unshifted = np.concatenate((theta_index[:2].reshape(2, -1), embed_index[:2]), axis=1)
+    assert np.array_equal(unshifted % 3, np.zeros((2, 9)))
+    for p in range(9):
+        for sign in (1, 2):
+            for s in range(2):
+                r = 2 + 4 * p + 2 * (sign - 1) + s
+                row = theta_index[r].ravel()
+                if r < 26:
+                    row = np.concatenate((row, embed_index[r]))
+                moved = np.flatnonzero(row != unshifted[s, : len(row)])
+                angle = (p - 3) if p >= 3 else 6 + p
+                assert list(moved) == [angle] and row[angle] % 3 == sign, (p, sign, s)
 
 
 @pytest.mark.parametrize(

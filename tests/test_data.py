@@ -68,12 +68,19 @@ def test_synthetic_class_geometry():
 
 
 def test_synthetic_invalid_sizes():
-    with pytest.raises(ValueError):
-        generate_synthetic(1, 4, 2, 1.0, 0)
-    with pytest.raises(ValueError):
-        generate_synthetic(10, 0, 2, 1.0, 0)
-    with pytest.raises(ValueError):
-        generate_synthetic(10, 4, 2, -1.0, 0)
+    for field, sizes in [
+        ("n", (1, 4, 2, 1.0)),
+        ("n", (10.5, 4, 2, 1.0)),
+        ("feature_dim", (10, 0, 2, 1.0)),
+        ("feature_dim", (10, 1, 2, 1.0)),
+        ("feature_dim", (10, 4.0, 2, 1.0)),
+        ("num_classes", (10, 4, 0, 1.0)),
+        ("num_classes", (10, 4, 2.5, 1.0)),
+        ("margin", (10, 4, 2, -1.0)),
+        ("margin", (10, 4, 2, np.inf)),
+    ]:
+        with pytest.raises(ConfigurationError, match=field):
+            generate_synthetic(*sizes, 0)
 
 
 def test_margin_zero_is_chance_level():
@@ -299,3 +306,31 @@ def test_bad_seed_is_a_configuration_error(draw, seed):
     ds = generate_synthetic(10, 4, 2, 1.0, seed=0)
     with pytest.raises(ConfigurationError, match="seed"):
         draw(ds, seed)
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("epoch", lambda ds: shard(ds, 1, 0, -1, 0)),
+        ("epoch", lambda ds: shard(ds, 1, 0, 1.5, 0)),
+        ("num_workers", lambda ds: shard(ds, 0, 0, 0, 0)),
+        ("num_workers", lambda ds: shard(ds, 2.0, 0, 0, 0)),
+        ("num_workers", lambda ds: shard(ds, 11, 0, 0, 0)),
+        ("worker_id", lambda ds: shard(ds, 2, -1, 0, 0)),
+        ("worker_id", lambda ds: shard(ds, 2, 2, 0, 0)),
+        ("worker_id", lambda ds: shard(ds, 2, 0.5, 0, 0)),
+        ("batch_size", lambda ds: batches(np.arange(4), 0)),
+        ("batch_size", lambda ds: batches(np.arange(4), 2.5)),
+    ],
+)
+def test_shard_and_batch_sizes_are_whole_numbers(field, call):
+    ds = generate_synthetic(10, 4, 2, 1.0, seed=0)
+    with pytest.raises(ConfigurationError, match=field):
+        call(ds)
+
+
+def test_shard_takes_numpy_integers():
+    ds = generate_synthetic(10, 4, 2, 1.0, seed=0)
+    want = shard(ds, 2, 1, 3, 0)
+    assert np.array_equal(shard(ds, np.int64(2), np.int32(1), np.int64(3), 0), want)
+    assert [len(c) for c in batches(want, np.int64(2))] == [2, 2, 1]

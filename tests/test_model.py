@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dressedq import (
+    HybridModel,
     backward,
     evaluate,
     forward,
@@ -287,3 +288,21 @@ def test_checkpoint_truncated_rejected(tmp_path, cut):
     path.write_bytes(raw[:cut])
     with pytest.raises(ConfigurationError):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, dim, classes",
+    [
+        ("feature_dim", 0, 2),
+        ("feature_dim", -3, 2),
+        ("feature_dim", 4.5, 2),
+        ("num_classes", 4, 0),
+        ("num_classes", 4, 2.0),
+    ],
+)
+def test_model_sizes_are_whole_numbers_from_one(field, dim, classes):
+    spec = CircuitSpec(2, 1)
+    with pytest.raises(ConfigurationError, match=field):
+        init_model(spec, dim, classes, 0)
+    with pytest.raises(ConfigurationError, match=field):
+        HybridModel(spec, dim, classes, np.zeros(16))
