@@ -11,14 +11,14 @@ Circuit layout (fixed):
 Gradients use the exact parameter-shift rule for RY generators:
 d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
-Angles go in rows first, the layout of a batch: thetas (depth, q), or
-(K, depth, q) with one set per circuit for quantum_forward, and embedding
-angles (q,) or (K, q). quantum_forward also takes either argument as a
-qsim.Rotation of that shape, converted already. It checks the shapes of
-its arguments, turns each plain one into a Rotation (where its angles are
-checked finite) and hands each gate an indexed view; param_shift_grad
-applies the same shape check and hands it Rotations, which are not
-checked again.
+quantum_forward takes one input form: thetas (depth, q), shared by every
+circuit of the call, and embedding angles (q,) or (K, q), rows first, as
+arrays or nested lists. `_check_args` checks their shapes and
+`qsim.Rotation` checks the angles finite and converts them, once per
+call; each gate gets an indexed view of the Rotations. param_shift_grad
+applies the same shape check to its own arguments; the shift batch it
+builds, with thetas per row, reaches quantum_forward as Rotations only
+through its `fork` keyword and is not checked again.
 
 A parameter-shift batch forks. A circuit that shifts a layer-l theta
 equals its sample's unshifted circuit until layer l's RYs, so the batch's
@@ -86,46 +86,33 @@ class CircuitSpec:
 
 def _check_args(spec: CircuitSpec, thetas, embed_angles) -> None:
     q, d = spec.qubits, spec.depth
-    embed_shape, theta_shape = _shape(embed_angles), _shape(thetas)
+    embed_shape, theta_shape = np.shape(embed_angles), np.shape(thetas)
     if len(embed_shape) not in (1, 2) or embed_shape[-1] != q:
         raise ConfigurationError(
             f"embed_angles shape {embed_shape} != ({q},) or (K, {q})"
         )
-    if theta_shape not in ((d, q), (*embed_shape[:-1], d, q)):
-        raise ConfigurationError(
-            f"thetas shape {theta_shape} != ({d}, {q}) or (K, {d}, {q})"
-        )
-
-
-def _shape(angles) -> tuple[int, ...]:
-    return np.shape(angles.cos if isinstance(angles, qsim.Rotation) else angles)
-
-
-def _rotation(angles) -> qsim.Rotation:
-    return angles if isinstance(angles, qsim.Rotation) else qsim.Rotation(angles)
+    if theta_shape != (d, q):
+        raise ConfigurationError(f"thetas shape {theta_shape} != ({d}, {q})")
 
 
 def quantum_forward(
     spec: CircuitSpec,
-    thetas: np.ndarray | qsim.Rotation,
-    embed_angles: np.ndarray | qsim.Rotation,
+    thetas: np.ndarray,
+    embed_angles: np.ndarray,
     *,
     fork: int | None = None,
 ) -> np.ndarray:
     """Run the circuit; returns the per-wire Z expectations.
 
     thetas holds the trainable angles, one per (layer, wire), shape
-    (depth, q). embed_angles of shape (q,) runs one circuit and returns
-    shape (q,). A batch of shape (K, q) runs K circuits as the columns of
-    one (2^q, K) state and returns (K, q); thetas are then shared, shape
-    (depth, q), or one set per row, shape (K, depth, q). Each row's result
-    equals the single-circuit call's exactly, and the call counts K circuit
-    evaluations.
-
-    Either argument may be plain angles or a qsim.Rotation of the same
-    shape, independently of the other. A wrong shape of either form raises
-    ConfigurationError, and a non-finite plain angle ValueError (from
-    qsim.Rotation), before any circuit runs; a Rotation is used as it is.
+    (depth, q), shared by every circuit of the call. embed_angles of shape
+    (q,) runs one circuit and returns shape (q,). A batch of shape (K, q)
+    runs K circuits as the columns of one (2^q, K) state and returns
+    (K, q); each row equals the single-circuit call's exactly, and the
+    call counts K circuit evaluations. Both arguments are arrays or nested
+    lists of angles: a qsim.Rotation or any other shape raises
+    ConfigurationError, and a non-finite angle ValueError (from
+    qsim.Rotation), before any circuit runs.
 
     `fork` is for param_shift_grad only: its sample count B, with per-row
     theta Rotations over the K rows of a B-sample shift batch in
@@ -135,26 +122,23 @@ def quantum_forward(
     global _forward_evals
     if fork is None:
         _check_args(spec, thetas, embed_angles)
-    theta_rot, embed_rot = _rotation(thetas), _rotation(embed_angles)
-    single = embed_rot.cos.ndim == 1
-    if single:
-        embed_rot = embed_rot[None]
-    shared = theta_rot.cos.ndim == 2
-    k = len(embed_rot.cos if shared else theta_rot.cos)
+        thetas, embed_angles = qsim.Rotation(thetas), qsim.Rotation(embed_angles)
+    single = embed_angles.cos.ndim == 1
+    embed_rot = embed_angles[None] if single else embed_angles
+    k = len(thetas.cos if fork else embed_rot.cos)
     _forward_evals += k
 
     chunk = max(1, BATCH_AMPLITUDES >> spec.qubits)
-    if fork is not None and k > chunk:
+    if fork and k > chunk:
         # Too large to fork in one chunk: every row runs from |0...0>, a
         # row of a later stage with its sample's unshifted embedding.
         first = len(embed_rot.cos)
         embed_rot = embed_rot[np.r_[:first, np.arange(k - first) % fork]]
-        fork = None
     out = np.empty((k, spec.qubits))
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
         out[rows] = _run_rows(
-            spec, theta_rot if shared else theta_rot[rows], embed_rot[rows], fork
+            spec, thetas[rows] if fork else thetas, embed_rot[rows], fork if k <= chunk else None
         )
     return out[0] if single else out
 
@@ -167,7 +151,8 @@ def _run_rows(
 ) -> np.ndarray:
     """The circuit layout on a rows-last (2^q, K) state, circuit k in
     column k; embed_rot holds (K, q) angles, theta_rot (d, q) shared ones
-    or (K, d, q) per-row ones. Returns the (K, q) Z expectations.
+    or, for param_shift_grad's batch only, (K, d, q) per-row ones. Returns
+    the (K, q) Z expectations.
 
     With `fork` = B, the state starts with embed_rot's rows, and just
     before each later layer's RYs it grows by that layer's 2qB shifted
@@ -265,20 +250,17 @@ def param_shift_grad(
     values in it (unshifted, +pi/2, -pi/2), so one qsim.Rotation converts
     those, the thetas once for all samples, and the batch's tables are
     gathered from it through the cached `_shift_index` and passed to
-    quantum_forward as Rotations, with `fork=B`. Shapes are checked here
-    by quantum_forward's rule, with thetas shared and B >= 1, and a wrong
-    one raises ConfigurationError; a non-finite angle raises ValueError.
-    Both happen before any circuit runs.
+    quantum_forward as Rotations, with `fork=B`, the only call that runs
+    per-row thetas. Shapes are checked here by quantum_forward's rule,
+    with B >= 1, and a wrong one raises ConfigurationError; a non-finite
+    angle raises ValueError. Both happen before any circuit runs.
     """
+    _check_args(spec, thetas, embed_angles)
     thetas = np.asarray(thetas, dtype=float)
     embed_angles = np.asarray(embed_angles, dtype=float)
     q, d = spec.qubits, spec.depth
-    _check_args(spec, thetas, embed_angles)
-    if thetas.shape != (d, q) or embed_angles.size == 0:
-        raise ConfigurationError(
-            f"param_shift_grad takes shared thetas ({d}, {q}) and B >= 1 samples, "
-            f"got {thetas.shape} and {embed_angles.shape}"
-        )
+    if embed_angles.size == 0:
+        raise ConfigurationError(f"param_shift_grad takes B >= 1 samples, got {embed_angles.shape}")
     embeds = embed_angles.reshape(-1, q)
     b = len(embeds)
     base = np.concatenate((thetas.ravel(), embeds.ravel()))

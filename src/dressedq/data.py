@@ -195,11 +195,11 @@ def batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
 def train_val_split(
     dataset: Dataset, val_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset, np.ndarray]:
-    """Seeded-shuffle split; returns (train, val, held-out indices). A NaN
-    or infinite val_fraction raises ConfigurationError."""
+    """Seeded-shuffle split; returns (train, val, held-out indices). A
+    negative, NaN or infinite val_fraction raises ConfigurationError."""
     n = len(dataset)
-    if not np.isfinite(val_fraction):
-        raise ConfigurationError(f"val_fraction must be finite, got {val_fraction}")
+    if not 0 <= val_fraction < np.inf:  # False for NaN
+        raise ConfigurationError(f"val_fraction must be finite and >= 0, got {val_fraction}")
     n_val = max(1, int(round(n * val_fraction)))
     if n_val >= n:
         raise ConfigurationError("validation split would consume the whole dataset")

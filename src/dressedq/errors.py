@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the whole-number check
-for seeds, TrainConfig counts and CircuitSpec sizes."""
+for sizes, counts and seeds."""
 
 import operator
 

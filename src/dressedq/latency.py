@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import CircuitSpec, circuit_evals_per_sample
+from .errors import whole_number
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,8 @@ class BackendProfile:
                 f"latencies {self.mean_job_latency:g} + {self.queue_overhead:g} "
                 "overflow to an infinite time per job"
             )
-        if self.job_cap is not None and self.job_cap < 0:
-            raise ValueError(f"job_cap must be nonnegative, got {self.job_cap}")
+        if self.job_cap is not None:
+            whole_number("job_cap", self.job_cap, 0)
 
     @property
     def seconds_per_job(self) -> float:
@@ -52,16 +53,12 @@ class FeasibilityReport:
 
 def jobs_per_epoch(n_train: int, spec: CircuitSpec) -> int:
     """Backend jobs for one epoch: per-sample evaluations times samples."""
-    if n_train < 1:
-        raise ValueError("n_train must be >= 1")
-    return n_train * circuit_evals_per_sample(spec)
+    return whole_number("n_train", n_train, 1) * circuit_evals_per_sample(spec)
 
 
 def epoch_wall_seconds(jobs: int, profile: BackendProfile) -> float:
     """Projected wall time for `jobs` sequential submissions."""
-    if jobs < 0:
-        raise ValueError("job count must be nonnegative")
-    return jobs * profile.seconds_per_job
+    return whole_number("jobs", jobs, 0) * profile.seconds_per_job
 
 
 def feasibility_report(
@@ -73,8 +70,7 @@ def feasibility_report(
 ) -> FeasibilityReport:
     if not budget_seconds > 0:  # False for NaN
         raise ValueError(f"budget must be positive, got {budget_seconds}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    whole_number("epochs", epochs, 1)
     per_epoch = jobs_per_epoch(n_train, spec)
     total_jobs = epochs * per_epoch
     projected = epochs * epoch_wall_seconds(per_epoch, profile)

@@ -339,8 +339,6 @@ def load_checkpoint(path: str) -> HybridModel:
         raise ConfigurationError("truncated checkpoint header")
     q, d, dim, classes = struct.unpack_from("<4i", raw, len(CHECKPOINT_MAGIC))
     spec = CircuitSpec(qubits=q, depth=d)
-    if dim < 1 or classes < 1:
-        raise ConfigurationError(f"checkpoint dimension below 1: D={dim}, C={classes}")
     _, size = _block_slices(spec, dim, classes)
     expected = header_end + 8 * size
     if len(raw) < expected:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, whole_number
 
 # 2^24 amplitudes is 128 MiB of doubles per row; anything above that is
 # rejected rather than allowed to thrash the machine.
@@ -57,12 +57,11 @@ class StateVector:
 
 
 def new_zero_state(num_qubits: int, rows: int | None = None) -> StateVector:
-    """|0...0> as one row of shape (2^q,), or as `rows` rows of shape (2^q, rows)."""
-    if not (1 <= num_qubits <= MAX_QUBITS):
-        raise ConfigurationError(
-            f"qubit count {num_qubits} outside supported range 1..{MAX_QUBITS}"
-        )
-    amps = np.zeros(1 << num_qubits if rows is None else (1 << num_qubits, rows))
+    """|0...0> as one row of shape (2^q,), or as `rows` rows of shape
+    (2^q, rows). num_qubits must be a whole number in 1..MAX_QUBITS and
+    rows one >= 0, else ConfigurationError naming the argument."""
+    size = 1 << whole_number("num_qubits", num_qubits, 1, MAX_QUBITS)
+    amps = np.zeros(size if rows is None else (size, whole_number("rows", rows, 0)))
     amps[0] = 1.0
     return StateVector(amps)
 

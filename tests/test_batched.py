@@ -121,9 +121,9 @@ def forward_batches(draw):
     q = draw(st.integers(1, 5))
     d = draw(st.integers(0, 3))
     k = draw(st.integers(1, 6))
-    arrays = st.lists(ANGLES, min_size=k * (d + 1) * q, max_size=k * (d + 1) * q)
-    values = np.array(draw(arrays)).reshape(k, d + 1, q)
-    return CircuitSpec(q, d), values[:, :d], values[:, d]
+    values = draw(st.lists(ANGLES, min_size=(d + k) * q, max_size=(d + k) * q))
+    values = np.array(values).reshape(d + k, q)
+    return CircuitSpec(q, d), values[:d], values[d:]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -132,27 +132,23 @@ def test_quantum_forward_batch_equals_single_calls(case):
     spec, thetas, embeds = case
     k = len(embeds)
     before = forward_eval_count()
-    per_row = quantum_forward(spec, thetas, embeds)
-    shared = quantum_forward(spec, thetas[0], embeds)
-    assert forward_eval_count() - before == 2 * k
-    assert per_row.shape == shared.shape == (k, spec.qubits)
+    batch = quantum_forward(spec, thetas, embeds)
+    assert forward_eval_count() - before == k
+    assert batch.shape == (k, spec.qubits)
     for row in range(k):
-        single = quantum_forward(spec, thetas[row], embeds[row])
-        assert np.array_equal(per_row[row], single)
-    for row in range(k):
-        single = quantum_forward(spec, thetas[0], embeds[row])
-        assert np.array_equal(shared[row], single)
+        single = quantum_forward(spec, thetas, embeds[row])
+        assert np.array_equal(batch[row], single)
 
 
 def test_paper_size_batch_equals_single_calls():
-    # One sample's parameter-shift batch at q=4, depth 6: 57 rows.
+    # As many rows as one sample's parameter-shift batch at q=4, depth 6.
     rng = np.random.default_rng(5)
     spec = CircuitSpec(4, 6)
-    thetas = rng.uniform(-np.pi, np.pi, (57, 6, 4))
+    thetas = rng.uniform(-np.pi, np.pi, (6, 4))
     embeds = rng.uniform(-np.pi, np.pi, (57, 4))
     batch = quantum_forward(spec, thetas, embeds)
     for row in range(57):
-        single = quantum_forward(spec, thetas[row], embeds[row])
+        single = quantum_forward(spec, thetas, embeds[row])
         assert np.array_equal(batch[row], single)
 
 
@@ -161,17 +157,12 @@ def test_chunked_batch_equals_single_chunk(monkeypatch):
     spec = CircuitSpec(3, 2)
     params = rng.uniform(-np.pi, np.pi, (2, 3))
     embeds = rng.uniform(-np.pi, np.pi, (7, 3))
-    per_row = rng.uniform(-np.pi, np.pi, (7, 2, 3))
     whole = quantum_forward(spec, params, embeds)
-    whole_per_row = quantum_forward(spec, per_row, embeds)
     # Two rows per chunk: chunks of 2, 2, 2 and 1 rows.
     monkeypatch.setattr(circuit, "BATCH_AMPLITUDES", 2 << spec.qubits)
     assert np.array_equal(quantum_forward(spec, params, embeds), whole)
     _, _, value = param_shift_grad(spec, params, embeds[0])
     assert np.array_equal(value, whole[0])
-    # Per-row thetas cross the chunk boundaries with their rows.
-    for thetas in (per_row, qsim.Rotation(per_row)):
-        assert np.array_equal(quantum_forward(spec, thetas, embeds), whole_per_row)
 
 
 def test_param_shift_fork_equals_unforked_fallback(monkeypatch):

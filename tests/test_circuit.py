@@ -79,47 +79,26 @@ def test_list_angles_equal_arrays():
         got = param_shift_grad(spec, thetas, embed)
         want = param_shift_grad(spec, np.array(thetas), np.array(embed))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    for bad in ([0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]):
+    for bad in ([0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]], qsim.Rotation(thetas)):
         for call in (quantum_forward, param_shift_grad):
             with pytest.raises(ConfigurationError):
                 call(spec, bad, embeds)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_forward_takes_rotations_or_arrays_alike(shared):
-    # Rows first either way: thetas (d, q) or (K, d, q), embeddings (K, q)
-    # or (q,), each an array or a Rotation independently of the other.
-    rng = np.random.default_rng(53)
-    spec, k = CircuitSpec(3, 2), 5
-    thetas = rng.uniform(-4.0, 4.0, size=(2, 3) if shared else (k, 2, 3))
-    embeds = rng.uniform(-4.0, 4.0, size=(k, 3))
-    want = quantum_forward(spec, thetas, embeds).tobytes()
-    for theta_arg in (thetas, qsim.Rotation(thetas)):
-        for embed_arg in (embeds, qsim.Rotation(embeds)):
-            before = forward_eval_count()
-            got = quantum_forward(spec, theta_arg, embed_arg)
-            assert forward_eval_count() - before == k
-            assert got.tobytes() == want
-    if shared:
-        want = quantum_forward(spec, thetas, embeds[1]).tobytes()
-        for embed_arg in (embeds[1], qsim.Rotation(embeds[1])):
-            got = quantum_forward(spec, qsim.Rotation(thetas), embed_arg)
-            assert got.shape == (3,) and got.tobytes() == want
-
-
-def test_forward_rejects_misshaped_rotations():
+def test_forward_rejects_rotations_and_per_row_thetas():
+    # One input form: shared (d, q) thetas with (q,) or (K, q) embedding
+    # angles, as arrays or lists. Per-row thetas and Rotations reach the
+    # circuit only through param_shift_grad's fork.
     spec, k = CircuitSpec(3, 2), 4
-    thetas, embeds = np.zeros((k, 2, 3)), np.zeros((k, 3))
+    thetas, embeds = np.zeros((2, 3)), np.zeros((k, 3))
     bad = [
-        (qsim.Rotation(thetas), qsim.Rotation(np.zeros((k + 1, 3)))),  # K differs
-        (qsim.Rotation(thetas), np.zeros((k + 1, 3))),
-        (thetas, qsim.Rotation(np.zeros((k, 2)))),  # q
-        (qsim.Rotation(np.zeros((k, 2, 2))), embeds),
-        (qsim.Rotation(np.zeros((1, 3))), qsim.Rotation(embeds)),  # depth
-        (qsim.Rotation(np.zeros((k, 3, 3))), qsim.Rotation(embeds)),
-        (qsim.Rotation(thetas.transpose(1, 2, 0)), qsim.Rotation(embeds.T)),  # rows last
-        (qsim.Rotation(thetas), qsim.Rotation(np.zeros(3))),  # per-row thetas, one embedding
-        (qsim.Rotation(np.zeros((2, 3))), qsim.Rotation(0.5)),  # lone angle
+        (np.zeros((k, 2, 3)), embeds),  # per-row thetas
+        (np.zeros((1, 2, 3)), embeds[0]),
+        (qsim.Rotation(thetas), embeds),  # a Rotation for either argument
+        (thetas, qsim.Rotation(embeds)),
+        (thetas, qsim.Rotation(embeds[0])),
+        (qsim.Rotation(thetas), qsim.Rotation(embeds)),
+        (qsim.Rotation(np.zeros((k, 2, 3))), qsim.Rotation(embeds)),
     ]
     before = forward_eval_count()
     for theta_arg, embed_arg in bad:

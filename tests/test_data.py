@@ -277,7 +277,7 @@ def test_train_val_split_disjoint_and_deterministic():
     assert np.array_equal(held, held2)
     assert np.array_equal(val.features, val2.features)
     assert np.array_equal(train.features, train2.features)
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, -0.5):
         with pytest.raises(ConfigurationError, match="val_fraction"):
             train_val_split(ds, bad, seed=6)
 

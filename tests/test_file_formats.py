@@ -111,7 +111,7 @@ def test_checkpoint_zero_dimension_rejected(tmp_path_factory, dims):
     # 0-feature model.
     path, raw = _valid_bytes(tmp_path_factory)
     path.write_bytes(raw[:5] + struct.pack("<4i", *dims) + raw[HEADER_END:])
-    with pytest.raises(ConfigurationError, match="below 1"):
+    with pytest.raises(ConfigurationError, match="feature_dim" if dims[2] == 0 else "num_classes"):
         load_checkpoint(str(path))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from dressedq import (
     BackendProfile,
+    ConfigurationError,
     epoch_wall_seconds,
     feasibility_report,
     init_model,
@@ -108,6 +109,11 @@ def test_projection_monotone_in_everything():
 def test_validation_errors():
     with pytest.raises(ValueError):
         jobs_per_epoch(0, PAPER_SPEC)
+    with pytest.raises(ConfigurationError, match="n_train"):
+        jobs_per_epoch(2.5, PAPER_SPEC)
+    for jobs in (-1, 2.5):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            epoch_wall_seconds(jobs, BackendProfile("p", 1.0))
     with pytest.raises(ValueError):
         BackendProfile(name="bad", mean_job_latency=-1.0)
     with pytest.raises(ValueError):
@@ -142,6 +148,8 @@ def test_nan_budget_rejected():
 def test_negative_job_cap_rejected():
     with pytest.raises(ValueError, match="job_cap"):
         BackendProfile(name="bad", mean_job_latency=1.0, job_cap=-5)
+    with pytest.raises(ValueError, match="job_cap"):
+        BackendProfile(name="bad", mean_job_latency=1.0, job_cap=2.5)
     # A cap of 0 accepts no jobs at all: every run fails in its first epoch.
     report = feasibility_report(
         10, PAPER_SPEC, 1, BackendProfile("p", 1.0, job_cap=0), 1e9
@@ -149,7 +157,7 @@ def test_negative_job_cap_rejected():
     assert report.first_failure_epoch == 1 and not report.feasible
 
 
-@pytest.mark.parametrize("epochs", [0, -3])
+@pytest.mark.parametrize("epochs", [0, -3, 2.5])
 def test_epochs_below_one_rejected(epochs):
     with pytest.raises(ValueError, match="epochs"):
         feasibility_report(10, PAPER_SPEC, epochs, BackendProfile("p", 1.0), 1e9)

@@ -48,6 +48,11 @@ def test_qubit_cap_enforced():
         new_zero_state(25)
     with pytest.raises(ConfigurationError):
         new_zero_state(0)
+    with pytest.raises(ConfigurationError, match="num_qubits"):
+        new_zero_state(2.5)
+    for rows in (1.5, -1):
+        with pytest.raises(ConfigurationError, match="rows"):
+            new_zero_state(2, rows=rows)
 
 
 def test_h_on_zero():
@@ -144,8 +149,6 @@ def test_non_finite_angle_raises_everywhere(bad):
         quantum_forward(spec, np.array([[0.1, bad]]), np.zeros(2))
     with pytest.raises(ValueError):
         quantum_forward(spec, np.zeros((1, 2)), np.array([[0.1, 0.2], [bad, 0.3]]))
-    with pytest.raises(ValueError):
-        quantum_forward(spec, np.full((2, 1, 2), bad), np.zeros((2, 2)))
 
 
 def test_rotation_view_with_wrong_row_count_raises():
