@@ -11,21 +11,29 @@ Circuit layout (fixed):
 Gradients use the exact parameter-shift rule for RY generators:
 d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
+H and the embedding act on wires that are not yet entangled, so the
+simulator builds that part of every circuit as a product state: the q
+wires of K circuits run as one one-qubit register of q*K rows through one
+H call and one RY call, and q-1 broadcast multiplies join them into the
+(2^q, K) state. Each step is elementwise per column, so a row of a batch
+still equals its single-row run bit for bit.
+
 quantum_forward takes one input form: thetas (depth, q), shared by every
 circuit of the call, and embedding angles (q,) or (K, q), rows first, as
-arrays or nested lists. `_check_args` checks their shapes and
-`qsim.Rotation` checks the angles finite and converts them, once per
-call; each gate gets an indexed view of the Rotations. param_shift_grad
-applies the same shape check to its own arguments; the shift batch it
-builds, with thetas per row, reaches quantum_forward as Rotations only
-through its `fork` keyword and is not checked again.
+arrays or nested lists. `_check_args` reads them as float64 arrays and
+checks their shapes, and `qsim.Rotation` checks the angles finite and
+converts them, once per call; each gate gets an indexed view of the
+Rotations. param_shift_grad applies the same check to its own
+arguments; the shift batch it builds, with thetas per row, reaches
+quantum_forward as Rotations only through its `fork` keyword and is not
+checked again.
 
 A parameter-shift batch forks. A circuit that shifts a layer-l theta
 equals its sample's unshifted circuit until layer l's RYs, so the batch's
 rows are ordered by where they first differ: the B unshifted rows, then
 the embedding shifts, then the layer-0 shifts, then those of each later
-layer. The first three groups start as one state through H, the
-embedding and layer 0; just before layer l's RYs (l >= 1) the state grows
+layer. The first three groups start as one product state and run
+through layer 0 together; just before layer l's RYs (l >= 1) the state grows
 by layer l's 2qB rows, copies of the B unshifted columns. The gate calls
 stay one per gate of the layout, each on fewer rows, and every amplitude
 goes through the arithmetic of an unforked run, so results are
@@ -84,15 +92,27 @@ class CircuitSpec:
         whole_number("depth", self.depth, 0, MAX_DEPTH)
 
 
-def _check_args(spec: CircuitSpec, thetas, embed_angles) -> None:
+def _angles(name: str, angles) -> np.ndarray:
+    """angles as a float64 array; a ragged list or anything numpy cannot
+    read as numbers raises ConfigurationError naming `name`."""
+    try:
+        return np.asarray(angles, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{name} is not an array of angles: {err}") from None
+
+
+def _check_args(spec: CircuitSpec, thetas, embed_angles) -> tuple[np.ndarray, np.ndarray]:
+    """thetas and embed_angles as float64 arrays of quantum_forward's input
+    form, else ConfigurationError naming the argument."""
     q, d = spec.qubits, spec.depth
-    embed_shape, theta_shape = np.shape(embed_angles), np.shape(thetas)
-    if len(embed_shape) not in (1, 2) or embed_shape[-1] != q:
+    thetas, embed_angles = _angles("thetas", thetas), _angles("embed_angles", embed_angles)
+    if embed_angles.ndim not in (1, 2) or embed_angles.shape[-1] != q:
         raise ConfigurationError(
-            f"embed_angles shape {embed_shape} != ({q},) or (K, {q})"
+            f"embed_angles shape {embed_angles.shape} != ({q},) or (K, {q})"
         )
-    if theta_shape != (d, q):
-        raise ConfigurationError(f"thetas shape {theta_shape} != ({d}, {q})")
+    if thetas.shape != (d, q):
+        raise ConfigurationError(f"thetas shape {thetas.shape} != ({d}, {q})")
+    return thetas, embed_angles
 
 
 def quantum_forward(
@@ -110,37 +130,54 @@ def quantum_forward(
     runs K circuits as the columns of one (2^q, K) state and returns
     (K, q); each row equals the single-circuit call's exactly, and the
     call counts K circuit evaluations. Both arguments are arrays or nested
-    lists of angles: a qsim.Rotation or any other shape raises
-    ConfigurationError, and a non-finite angle ValueError (from
+    lists of angles: a ragged list, a qsim.Rotation or anything else numpy
+    cannot read as numbers, or any other shape, raises ConfigurationError
+    naming the argument, and a non-finite angle ValueError (from
     qsim.Rotation), before any circuit runs.
 
     `fork` is for param_shift_grad only: its sample count B, with per-row
     theta Rotations over the K rows of a B-sample shift batch in
-    `_shift_index` order and embedding Rotations over the first stage's
-    rows only. Their shapes are taken as checked.
+    `_shift_index` order and the flat embedding Rotation of the first
+    stage's rows only, wire-major. Their shapes are taken as checked.
     """
     global _forward_evals
+    q = spec.qubits
+    chunk = max(1, BATCH_AMPLITUDES >> q)
     if fork is None:
-        _check_args(spec, thetas, embed_angles)
-        thetas, embed_angles = qsim.Rotation(thetas), qsim.Rotation(embed_angles)
-    single = embed_angles.cos.ndim == 1
-    embed_rot = embed_angles[None] if single else embed_angles
-    k = len(thetas.cos if fork else embed_rot.cos)
+        thetas, embeds = _check_args(spec, thetas, embed_angles)
+        single = embeds.ndim == 1
+        embeds = embeds.reshape(-1, q)
+        k = len(embeds)
+        thetas, embed_rot = qsim.Rotation(thetas), qsim.Rotation(_wire_major(embeds, chunk))
+    else:
+        single, k, embed_rot = False, len(thetas.cos), embed_angles
+        if k > chunk:
+            # Too large to fork in one chunk: every row runs from |0...0>, a
+            # row of a later stage with its sample's unshifted embedding.
+            first = len(embed_rot.cos) // q
+            source = np.r_[:first, np.arange(k - first) % fork]
+            embed_rot = embed_rot[_wire_major(source[:, None] + first * np.arange(q), chunk)]
     _forward_evals += k
 
-    chunk = max(1, BATCH_AMPLITUDES >> spec.qubits)
-    if fork and k > chunk:
-        # Too large to fork in one chunk: every row runs from |0...0>, a
-        # row of a later stage with its sample's unshifted embedding.
-        first = len(embed_rot.cos)
-        embed_rot = embed_rot[np.r_[:first, np.arange(k - first) % fork]]
-    out = np.empty((k, spec.qubits))
+    out = np.empty((k, q))
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
         out[rows] = _run_rows(
-            spec, thetas[rows] if fork else thetas, embed_rot[rows], fork if k <= chunk else None
+            spec,
+            thetas[rows] if fork else thetas,
+            embed_rot[q * start:q * (start + chunk)],
+            fork if k <= chunk else None,
         )
     return out[0] if single else out
+
+
+def _wire_major(rows: np.ndarray, chunk: int) -> np.ndarray:
+    """The (K, q) entries of `rows` as one flat array, chunk by chunk of
+    `chunk` rows, each chunk wire-major: wire i of the chunk's row k is at
+    i*rows_in_chunk + k."""
+    full = len(rows) - len(rows) % chunk
+    head = rows[:full].reshape(-1, chunk, rows.shape[1]).transpose(0, 2, 1)
+    return np.concatenate((head.ravel(), rows[full:].T.ravel()))
 
 
 def _run_rows(
@@ -150,9 +187,14 @@ def _run_rows(
     fork: int | None = None,
 ) -> np.ndarray:
     """The circuit layout on a rows-last (2^q, K) state, circuit k in
-    column k; embed_rot holds (K, q) angles, theta_rot (d, q) shared ones
-    or, for param_shift_grad's batch only, (K, d, q) per-row ones. Returns
-    the (K, q) Z expectations.
+    column k; embed_rot holds the (q*K,) embedding angles wire-major (wire
+    i of circuit k at i*K + k), theta_rot (d, q) shared ones or, for
+    param_shift_grad's batch only, (K, d, q) per-row ones. Returns the
+    (K, q) Z expectations.
+
+    H and the embedding run on one one-qubit register of q*K rows laid
+    out like embed_rot, whose wires then multiply into the state with
+    wire 0 the most significant bit.
 
     With `fork` = B, the state starts with embed_rot's rows, and just
     before each later layer's RYs it grows by that layer's 2qB shifted
@@ -160,12 +202,17 @@ def _run_rows(
     """
     q = spec.qubits
     shared = theta_rot.cos.ndim == 2
-    live = embed_rot.cos.shape[0]
-    state = qsim.new_zero_state(q, rows=live)
-    for i in range(q):
-        qsim.apply_h(state, i)
-    for i in range(q):
-        qsim.apply_ry(state, i, embed_rot[:, i])
+    live = len(embed_rot.cos) // q
+    register = qsim.new_zero_state(1, rows=q * live)
+    qsim.apply_h(register, 0)
+    qsim.apply_ry(register, 0, embed_rot)
+    # Wires join from the last one up, each new wire the most significant
+    # bit, so every multiply's inner loop runs over the whole product so far.
+    wires = register.amplitudes.reshape(2, q, live)
+    amps = wires[:, q - 1]
+    for i in range(q - 2, -1, -1):
+        amps = (wires[:, i, None] * amps).reshape(-1, live)
+    state = qsim.StateVector(amps)
     for layer in range(spec.depth):
         for i in range(0, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
@@ -208,12 +255,13 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     angle, the embedding angles first and then the thetas row-major. An
     angle's block is its +pi/2 rows, then its -pi/2 rows, each over the B
     samples in order, so row r belongs to sample r % B. Returns the
-    rows-first (K, d, q) theta index, and the (K0, q) embedding index of
-    the first stage only: the K0 = K - 2qB*max(d-1, 0) rows that differ by
-    the end of layer 0. Both are in Fortran order: a gather keeps its
-    index's memory layout, so each gate's column of the gathered tables is
-    contiguous, and numpy gathers through a Fortran-ordered index as fast
-    as through a C-ordered one (through a transposed view, about 3x slower).
+    rows-first (K, d, q) theta index, in Fortran order, and the flat
+    (q*K0,) embedding index of the first stage only, wire-major as
+    `_run_rows` takes it: the K0 = K - 2qB*max(d-1, 0) rows that differ by
+    the end of layer 0. A gather keeps its index's memory layout, so each
+    gate's column of the gathered theta tables is contiguous, and numpy
+    gathers through a Fortran-ordered index as fast as through a C-ordered
+    one (through a transposed view, about 3x slower).
     """
     n_t, n = d * q, d * q + q
     k, k0 = b * (1 + 2 * n), b * (1 + 2 * n) - 2 * q * b * max(d - 1, 0)
@@ -225,9 +273,8 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     shift = np.concatenate((np.zeros((n, b), dtype=np.intp), blocks.reshape(n, -1)), axis=1)
     theta_index = (3 * np.arange(n_t)[:, None] + shift[q:]).reshape(d, q, k)
     samples = np.arange(k0) % b
-    embed_index = 3 * (n_t + q * samples + np.arange(q)[:, None]) + shift[:q, :k0]
+    embed_index = (3 * (n_t + q * samples + np.arange(q)[:, None]) + shift[:q, :k0]).ravel()
     theta_index = np.asfortranarray(theta_index.transpose(2, 0, 1))
-    embed_index = np.asfortranarray(embed_index.T)
     theta_index.setflags(write=False)
     embed_index.setflags(write=False)
     return theta_index, embed_index
@@ -255,9 +302,7 @@ def param_shift_grad(
     with B >= 1, and a wrong one raises ConfigurationError; a non-finite
     angle raises ValueError. Both happen before any circuit runs.
     """
-    _check_args(spec, thetas, embed_angles)
-    thetas = np.asarray(thetas, dtype=float)
-    embed_angles = np.asarray(embed_angles, dtype=float)
+    thetas, embed_angles = _check_args(spec, thetas, embed_angles)
     q, d = spec.qubits, spec.depth
     if embed_angles.size == 0:
         raise ConfigurationError(f"param_shift_grad takes B >= 1 samples, got {embed_angles.shape}")
@@ -267,16 +312,16 @@ def param_shift_grad(
     rot = qsim.Rotation((base[:, None] + _SHIFTS).ravel())
     theta_index, embed_index = _shift_index(d, q, b)
     out = quantum_forward(spec, rot[theta_index], rot[embed_index], fork=b)
-    # d out / d angle as [b, p, o], angle p in fork order (the embedding,
-    # then thetas row-major). The Jacobians keep the strides they had before
-    # the fork: those decide the order in which backward's matmuls sum, and
-    # so their last bits.
+    # shifted[p, sign, b, o], angle p in fork order (the embedding, then
+    # thetas row-major); each difference is written through a [p, b, o]
+    # view into C-ordered Jacobians.
     shifted = out[b:].reshape(-1, 2, b, q)
-    diffs = np.empty((b, d * q + q, q))
-    np.subtract(shifted[:, 0], shifted[:, 1], out=diffs.transpose(1, 0, 2))
-    diffs /= 2.0
-    jac_thetas = diffs[:, q:].transpose(0, 2, 1).reshape(b, q, d, q)
-    jac_embed = diffs[:, :q].transpose(0, 2, 1)
+    jac_thetas, jac_embed = np.empty((b, q, d, q)), np.empty((b, q, q))
+    theta_view = jac_thetas.reshape(b, q, d * q).transpose(2, 0, 1)
+    np.subtract(shifted[:q, 0], shifted[:q, 1], out=jac_embed.transpose(2, 0, 1))
+    np.subtract(shifted[q:, 0], shifted[q:, 1], out=theta_view)
+    jac_thetas /= 2.0
+    jac_embed /= 2.0
     if embed_angles.ndim == 1:
         return jac_thetas[0], jac_embed[0], out[0]
     return jac_thetas, jac_embed, out[:b]

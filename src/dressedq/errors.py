@@ -22,10 +22,11 @@ class TrainingError(RuntimeError):
 
 def whole_number(name: str, value, low: int, high: float = float("inf")) -> int:
     """`value` as an int when operator.index takes it (an int or numpy
-    integer, not a float) and it lies in low..high; otherwise raise
-    ConfigurationError naming `name`."""
+    integer, not a float) and it is not a bool, which operator.index reads
+    as 0 or 1, and it lies in low..high; otherwise raise ConfigurationError
+    naming `name`."""
     try:
-        number = operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or not low <= number <= high:

@@ -253,8 +253,11 @@ def backward(
 
     dqout = dlogits @ model.post_weights  # (B, q)
     # Sums over samples b and outputs o: (1, B*q) @ (B*q, d*q) for thetas,
-    # and per sample (1, q) @ (q, q) for the embedding angles.
+    # and per sample (1, q) @ (q, q) for the embedding angles. The order of
+    # a matmul's sums follows its operands' strides, so both Jacobians are
+    # contracted C-ordered (param_shift_grad returns them so; no copy).
     q, dq = model.spec.qubits, model.thetas.size
+    jac_thetas, jac_embed = np.ascontiguousarray(jac_thetas), np.ascontiguousarray(jac_embed)
     np.matmul(dqout.reshape(1, b * q), jac_thetas.reshape(b * q, dq), out=g_thetas.reshape(1, dq))
     dembed = np.matmul(dqout[:, None, :], jac_embed)[:, 0]  # (B, q)
 

@@ -168,6 +168,8 @@ def test_chunked_batch_equals_single_chunk(monkeypatch):
 def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
     # q=3, d=3, B=5: 125 rows, 65 of them in the first stage. The batch fits
     # one chunk and forks; with 16-row chunks it runs unforked from |0...0>.
+    # Each stage starts as a one-qubit register with one row per wire of
+    # each of its circuits: 3 * 65 rows, or 3 * 16 per chunk.
     rng = np.random.default_rng(8)
     spec = CircuitSpec(3, 3)
     thetas = rng.uniform(-np.pi, np.pi, (3, 3))
@@ -176,7 +178,7 @@ def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
     zero_state, expect = qsim.new_zero_state, qsim.expect_z_all
 
     def starting(q, rows):
-        started.append(rows)
+        started.append((q, rows))
         return zero_state(q, rows)
 
     def measuring(state):
@@ -194,7 +196,7 @@ def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
         before = forward_eval_count()
         results.append([x.tobytes() for x in param_shift_grad(spec, thetas, embeds)])
         assert forward_eval_count() - before == 5 * (1 + 2 * (3 * 3 + 3))
-        assert started == starts
+        assert started == [(1, 3 * rows) for rows in starts]
         assert measured == [(8, rows) for rows in ends]
     assert results[0] == results[1]
 

@@ -35,6 +35,8 @@ def test_spec_validation():
         CircuitSpec(2, 1.5)
     with pytest.raises(ConfigurationError, match="qubits"):
         CircuitSpec(2.5, 1)
+    with pytest.raises(ConfigurationError, match="qubits"):
+        CircuitSpec(qubits=True)
 
 
 def test_forward_identity_circuit_on_plus_states():
@@ -50,6 +52,37 @@ def test_forward_single_qubit_analytic(angle):
     spec = CircuitSpec(qubits=1, depth=0)
     out = quantum_forward(spec, np.zeros((0, 1)), np.array([angle]))
     assert out[0] == pytest.approx(-np.sin(angle), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("q", range(1, 9))
+def test_embedding_product_state_equals_gate_by_gate(monkeypatch, q, k):
+    # A depth-0 circuit measures the embedded state as it is built: the
+    # product of one-qubit registers must equal H then RY run gate by gate
+    # on the full (2^q, K) state.
+    rng = np.random.default_rng(40 + q)
+    embeds = rng.uniform(-np.pi, np.pi, (k, q))
+    measured = []
+    expect = qsim.expect_z_all
+
+    def measuring(state):
+        measured.append(state.amplitudes)
+        return expect(state)
+
+    monkeypatch.setattr(qsim, "expect_z_all", measuring)
+    out = quantum_forward(CircuitSpec(q, 0), np.zeros((0, q)), embeds)
+    (amps,) = measured
+    want = qsim.new_zero_state(q, rows=k)
+    for i in range(q):
+        qsim.apply_h(want, i)
+    for i in range(q):
+        qsim.apply_ry(want, i, embeds[:, i])
+    assert amps.shape == (1 << q, k) and amps.flags.c_contiguous
+    assert np.max(np.abs(amps - want.amplitudes)) <= 1e-15
+    # Depth 0 leaves every wire in RY(a) H |0>, so <Z_i> = -sin(a_i). The
+    # readout sums squares of q-factor products in q fold steps, so its
+    # rounding grows with q: 1e-15 per wire.
+    assert np.max(np.abs(out + np.sin(embeds))) <= q * 1e-15
 
 
 def test_forward_matches_dense_oracle():
@@ -79,10 +112,26 @@ def test_list_angles_equal_arrays():
         got = param_shift_grad(spec, thetas, embed)
         want = param_shift_grad(spec, np.array(thetas), np.array(embed))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    for bad in ([0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]], qsim.Rotation(thetas)):
+    # Wrong shapes, ragged lists and objects numpy cannot read as angles
+    # raise ConfigurationError naming the argument, before any circuit runs.
+    bad = [
+        ([0.1, 0.2], embeds, "thetas"),
+        ([[0.1, 0.2, 0.3]], embeds, "thetas"),
+        ([[[0.1, 0.2]]], embeds, "thetas"),
+        (qsim.Rotation(thetas), embeds, "thetas"),
+        ([[0.1], [0.2, 0.3]], embeds, "thetas"),
+        ([[0.1, "x"]], embeds, "thetas"),
+        (thetas, [[0.1, 0.2], [0.3]], "embed_angles"),
+        (thetas, [[0.1, 0.2], object()], "embed_angles"),
+        (thetas, qsim.Rotation(embeds), "embed_angles"),
+        (thetas, [0.1, 1j], "embed_angles"),
+    ]
+    before = forward_eval_count()
+    for theta_arg, embed_arg, name in bad:
         for call in (quantum_forward, param_shift_grad):
-            with pytest.raises(ConfigurationError):
-                call(spec, bad, embeds)
+            with pytest.raises(ConfigurationError, match=name):
+                call(spec, theta_arg, embed_arg)
+    assert forward_eval_count() == before
 
 
 def test_forward_rejects_rotations_and_per_row_thetas():
@@ -224,17 +273,19 @@ def test_param_shift_non_finite_angle_raises_before_running(bad, b):
 def test_shift_index_is_cached_and_read_only():
     # d=2, q=3, B=2: n = 9 angles, K = 38 rows, 26 of them in the first
     # stage (2 unshifted, then 4 per embedding angle and per layer-0 theta).
-    theta_index, embed_index = circuit._shift_index(2, 3, 2)
+    theta_index, flat_embed = circuit._shift_index(2, 3, 2)
     assert circuit._shift_index(2, 3, 2)[0] is theta_index
-    assert theta_index.shape == (38, 2, 3) and embed_index.shape == (26, 3)
-    for index in (theta_index, embed_index):
+    assert theta_index.shape == (38, 2, 3) and flat_embed.shape == (3 * 26,)
+    for index in (theta_index, flat_embed):
         with pytest.raises(ValueError):
-            index[0, 0] = 0
+            index[(0,) * index.ndim] = 0
     # Each gate's column of the index, and so of a gather through it, is
-    # contiguous.
+    # contiguous; the embedding index is one flat run, wire-major, for the
+    # one embedding RY call.
     table = np.arange(3 * 12.0)
-    for column in (theta_index[:, 1, 2], embed_index[:, 2], table[theta_index][:, 0, 1]):
+    for column in (theta_index[:, 1, 2], flat_embed, table[theta_index][:, 0, 1]):
         assert column.flags.c_contiguous
+    embed_index = flat_embed.reshape(3, 26).T
     # Each angle's three values (unshifted, +pi/2, -pi/2) sit at 3a..3a+2:
     # thetas are a = 0..5, sample s's embedding angles a = 6 + 3s + i.
     assert np.array_equal(np.unique(theta_index[:, 1, 2]), [15, 16, 17])

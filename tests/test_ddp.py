@@ -45,7 +45,7 @@ def test_scale_lr():
     "field, value",
     [("base_lr", np.nan), ("base_lr", np.inf), ("momentum", np.nan), ("momentum", np.inf),
      ("momentum", -0.1), ("seed", -1), ("seed", 1.5), ("epochs", 1.5), ("batch_size", 1.5),
-     ("workers", 1.5), ("epochs", 0)],
+     ("workers", 1.5), ("epochs", 0), ("epochs", True), ("seed", False)],
 )
 def test_config_rejects_non_finite_or_negative_rates(field, value):
     with pytest.raises(ConfigurationError, match=field):

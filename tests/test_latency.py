@@ -148,8 +148,9 @@ def test_nan_budget_rejected():
 def test_negative_job_cap_rejected():
     with pytest.raises(ValueError, match="job_cap"):
         BackendProfile(name="bad", mean_job_latency=1.0, job_cap=-5)
-    with pytest.raises(ValueError, match="job_cap"):
-        BackendProfile(name="bad", mean_job_latency=1.0, job_cap=2.5)
+    for cap in (2.5, True):
+        with pytest.raises(ConfigurationError, match="job_cap"):
+            BackendProfile(name="bad", mean_job_latency=1.0, job_cap=cap)
     # A cap of 0 accepts no jobs at all: every run fails in its first epoch.
     report = feasibility_report(
         10, PAPER_SPEC, 1, BackendProfile("p", 1.0, job_cap=0), 1e9

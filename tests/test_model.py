@@ -306,3 +306,25 @@ def test_model_sizes_are_whole_numbers_from_one(field, dim, classes):
         init_model(spec, dim, classes, 0)
     with pytest.raises(ConfigurationError, match=field):
         HybridModel(spec, dim, classes, np.zeros(16))
+
+
+@pytest.mark.parametrize("q,d,b", [(4, 6, 4), (3, 2, 1), (2, 1, 3)])
+def test_backward_bits_do_not_depend_on_jacobian_layout(monkeypatch, q, d, b):
+    # The same Jacobian values in C and in Fortran order give the same
+    # gradient bytes: backward contracts one memory layout.
+    from dressedq import model as model_module
+
+    rng = np.random.default_rng(q * 100 + d * 10 + b)
+    model = init_model(CircuitSpec(qubits=q, depth=d), 6, 3, seed=4)
+    x, labels = rng.normal(size=(b, 6)), rng.integers(3, size=b)
+    shift_grad = model_module.param_shift_grad
+    results = []
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        def reordered(*args, order=order):
+            jac_thetas, jac_embed, value = shift_grad(*args)
+            return order(jac_thetas), order(jac_embed), value
+
+        monkeypatch.setattr(model_module, "param_shift_grad", reordered)
+        grad, loss = backward(model, x, labels)
+        results.append((grad.tobytes(), loss))
+    assert results[0] == results[1]

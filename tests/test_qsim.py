@@ -48,9 +48,10 @@ def test_qubit_cap_enforced():
         new_zero_state(25)
     with pytest.raises(ConfigurationError):
         new_zero_state(0)
-    with pytest.raises(ConfigurationError, match="num_qubits"):
-        new_zero_state(2.5)
-    for rows in (1.5, -1):
+    for qubits in (2.5, True):
+        with pytest.raises(ConfigurationError, match="num_qubits"):
+            new_zero_state(qubits)
+    for rows in (1.5, -1, True):
         with pytest.raises(ConfigurationError, match="rows"):
             new_zero_state(2, rows=rows)
 
