@@ -37,10 +37,11 @@ through layer 0 together; just before layer l's RYs (l >= 1) the state grows
 by layer l's 2qB rows, copies of the B unshifted columns. The gate calls
 stay one per gate of the layout, each on fewer rows, and every amplitude
 goes through the arithmetic of an unforked run, so results are
-bit-identical to running each row from |0...0>. The batch forks only if
-all its rows fit one BATCH_AMPLITUDES chunk; otherwise they run unforked
-in chunks. The fork lives only in this simulator: a remote backend runs
-every shifted circuit from |0...0> as its own job, so
+bit-identical to running each row from |0...0>. param_shift_grad forks in
+groups of whole samples, as many as fit one BATCH_AMPLITUDES chunk, one
+quantum_forward call per group; only a single sample whose rows exceed a
+chunk runs unforked, in chunks. The fork lives only in this simulator: a
+remote backend runs every shifted circuit from |0...0> as its own job, so
 circuit_evals_per_sample, forward_eval_count and latency.jobs_per_epoch
 still count each shifted circuit as one evaluation.
 """
@@ -62,9 +63,10 @@ MAX_DEPTH = 64
 _forward_evals = 0
 
 # A batched call runs its rows in chunks of at most max(1, BATCH_AMPLITUDES
-# >> q) rows, so one chunk holds about 2^18 float64 amplitudes (2 MiB)
-# whatever the batch size.
-BATCH_AMPLITUDES = 1 << 18
+# >> q) rows, so one chunk holds about 2^17 float64 amplitudes (1 MiB)
+# whatever the batch size. On a 2-vCPU Xeon (BENCH_21.json) per-circuit
+# cost was lowest at 2^16 to 2^17, and at 2^17 for parameter-shift batches.
+BATCH_AMPLITUDES = 1 << 17
 
 
 def forward_eval_count() -> int:
@@ -135,10 +137,12 @@ def quantum_forward(
     naming the argument, and a non-finite angle ValueError (from
     qsim.Rotation), before any circuit runs.
 
-    `fork` is for param_shift_grad only: its sample count B, with per-row
-    theta Rotations over the K rows of a B-sample shift batch in
-    `_shift_index` order and the flat embedding Rotation of the first
-    stage's rows only, wire-major. Their shapes are taken as checked.
+    `fork` is for param_shift_grad only: the sample count B of one of its
+    groups, with per-row theta Rotations over the K rows of a B-sample
+    shift batch in `_shift_index` order and the flat embedding Rotation of
+    the first stage's rows only, wire-major. Their shapes are taken as
+    checked. A batch too large for one chunk runs unforked, which
+    param_shift_grad leaves to a single sample.
     """
     global _forward_evals
     q = spec.qubits
@@ -292,21 +296,43 @@ def param_shift_grad(
       value               = quantum_forward at the unshifted point.
     For a batch of B samples, embed_angles (B, q), each result gains a
     leading B axis and row b equals the single-sample call on embed_angles[b]
-    exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample; all
-    B samples run as one quantum_forward batch. An angle takes only three
-    values in it (unshifted, +pi/2, -pi/2), so one qsim.Rotation converts
-    those, the thetas once for all samples, and the batch's tables are
-    gathered from it through the cached `_shift_index` and passed to
-    quantum_forward as Rotations, with `fork=B`, the only call that runs
-    per-row thetas. Shapes are checked here by quantum_forward's rule,
-    with B >= 1, and a wrong one raises ConfigurationError; a non-finite
-    angle raises ValueError. Both happen before any circuit runs.
+    exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample. The
+    samples run in groups, as many whole samples as fit one BATCH_AMPLITUDES
+    chunk (at least one), each group one quantum_forward batch. An angle
+    takes only three values in a group (unshifted, +pi/2, -pi/2), so one
+    qsim.Rotation converts those, the thetas once for all its samples, and
+    the group's tables are gathered from it through the cached
+    `_shift_index` and passed to quantum_forward as Rotations, with
+    `fork` = the group's sample count, the only call that runs per-row
+    thetas. Shapes are checked here by quantum_forward's rule, with B >= 1,
+    and a wrong one raises ConfigurationError; a non-finite angle raises
+    ValueError. Both happen before any circuit runs.
     """
     thetas, embed_angles = _check_args(spec, thetas, embed_angles)
-    q, d = spec.qubits, spec.depth
+    q = spec.qubits
     if embed_angles.size == 0:
         raise ConfigurationError(f"param_shift_grad takes B >= 1 samples, got {embed_angles.shape}")
     embeds = embed_angles.reshape(-1, q)
+    group = max(1, (BATCH_AMPLITUDES >> q) // circuit_evals_per_sample(spec))
+    if len(embeds) <= group:
+        jac_thetas, jac_embed, value = _shift_group(spec, thetas, embeds)
+    else:
+        parts = zip(*(
+            _shift_group(spec, thetas, embeds[start:start + group])
+            for start in range(0, len(embeds), group)
+        ))
+        jac_thetas, jac_embed, value = (np.concatenate(part) for part in parts)
+    if embed_angles.ndim == 1:
+        return jac_thetas[0], jac_embed[0], value[0]
+    return jac_thetas, jac_embed, value
+
+
+def _shift_group(
+    spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """param_shift_grad's results for the B samples of embeds (B, q), run
+    as one forked quantum_forward batch."""
+    q, d = spec.qubits, spec.depth
     b = len(embeds)
     base = np.concatenate((thetas.ravel(), embeds.ravel()))
     rot = qsim.Rotation((base[:, None] + _SHIFTS).ravel())
@@ -322,8 +348,6 @@ def param_shift_grad(
     np.subtract(shifted[q:, 0], shifted[q:, 1], out=theta_view)
     jac_thetas /= 2.0
     jac_embed /= 2.0
-    if embed_angles.ndim == 1:
-        return jac_thetas[0], jac_embed[0], out[0]
     return jac_thetas, jac_embed, out[:b]
 
 

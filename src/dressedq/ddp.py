@@ -10,10 +10,14 @@ weights' CRC-32.
 
 Workers run in separate processes (a process pool) because CPython's GIL
 would serialize the per-sample circuit work if they were threads. A task is
-(model, features, labels): the model crosses the process boundary as itself,
-pickled as its spec, sizes and params vector. The serial path
-(parallel=False) executes the same schedule on one thread, hands every task
-the canonical model itself, and produces bit-identical results.
+(model, features, labels) with features (n, B, D) for n of the workers: the
+model crosses the process boundary as itself, pickled as its spec, sizes
+and params vector. The pool gets one task per worker per step, n = 1. The
+serial path (parallel=False) executes the same schedule on one thread as
+one task per step holding all N workers' batches and the canonical model
+itself, so one backward call runs every replica's shifted circuits as one
+batch; backward keeps each replica's pre-net and chain rule on its own
+(B, D) rows, and results are bit-identical to the pool's.
 """
 from __future__ import annotations
 
@@ -59,14 +63,15 @@ def allreduce_mean(per_worker_grads: list[np.ndarray]) -> np.ndarray:
     return sum(per_worker_grads[1:], per_worker_grads[0]) * (1.0 / len(per_worker_grads))
 
 
-def _grad_task(payload) -> tuple[np.ndarray, float, int, int]:
-    """Worker entry for one task, payload (model, features, labels): return
-    the batch-mean gradient vector, the mean loss, the circuit runs made and
-    the CRC-32 of the weights the gradient was computed with."""
+def _grad_task(payload) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Worker entry for one task, payload (model, features (n, B, D), labels
+    (n, B)): return the n batch-mean gradient vectors (n, P), the n mean
+    losses, the circuit runs made and the CRC-32 of the weights the
+    gradients were computed with."""
     evals_before = forward_eval_count()
     model, feats, labels = payload
-    grad, loss = batch_gradient(model, feats, labels)
-    return grad, loss, forward_eval_count() - evals_before, zlib.crc32(model.params)
+    grads, losses = batch_gradient(model, feats, labels)
+    return grads, losses, forward_eval_count() - evals_before, zlib.crc32(model.params)
 
 
 def train_distributed(
@@ -87,7 +92,8 @@ def train_distributed(
     digest of the weights each worker computed with against the canonical
     weights' digest and raises SyncError naming the first worker that
     differs. A task that raises, or a pool worker that dies, ends in
-    TrainingError naming its worker.
+    TrainingError naming the task's workers ("worker 1 failed: ..." on the
+    pool, "workers 0-1 failed: ..." in-process at N=2).
     """
     check_fits(model, train_set)
     if val_set is not None:
@@ -103,17 +109,16 @@ def train_distributed(
     with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
         for epoch in range(config.epochs):
             t0 = time.monotonic()
-            batch_lists = [
-                batches(shard(train_set, n_workers, w, epoch, config.seed), config.batch_size)
-                for w in range(n_workers)
-            ]
+            # Column w is worker w's shard; equal sizes make it one array.
+            shards = np.stack(
+                [shard(train_set, n_workers, w, epoch, config.seed) for w in range(n_workers)],
+                axis=1,
+            )
             worker0_losses = []
-            for step in range(len(batch_lists[0])):
+            for step in batches(shards, config.batch_size):
                 # Taken before dispatch: an in-process worker shares the array.
                 expected = zlib.crc32(model.params)
-                grads, losses, digests = _step_gradients(
-                    model, train_set, batch_lists, step, pool
-                )
+                grads, losses, digests = _step_gradients(model, train_set, step.T, pool)
                 _assert_replicas_identical(expected, digests)
                 sgd_step(model, allreduce_mean(grads), config.lr, config.momentum, velocity)
                 worker0_losses.append(losses[0])
@@ -132,21 +137,35 @@ def train_distributed(
     return model, metrics
 
 
-def _step_gradients(model, train_set, batch_lists, step, pool):
-    payloads = [
-        (model, train_set.features[b[step]], train_set.labels[b[step]]) for b in batch_lists
-    ]
-    results = []
+def _step_gradients(model, train_set, index, pool):
+    """The N workers' gradient vectors, mean losses and weight digests for
+    one step, as lists in ascending worker id; index (N, B) holds worker
+    w's batch in row w.
+
+    In-process the step is one task of all N workers, (N, B, D); the pool
+    gets one task per worker, (1, B, D). Either way worker w's gradient
+    comes from its own batch alone, each worker's digest is its task's,
+    and a task that raises ends in TrainingError naming the task's workers.
+    """
+    blocks = [index] if pool is None else [index[w:w + 1] for w in range(len(index))]
+    tasks = [(model, train_set.features[rows], train_set.labels[rows]) for rows in blocks]
+    grads, losses, digests, evals = [], [], [], 0
     try:
-        for result in (map if pool is None else pool.map)(_grad_task, payloads):
-            results.append(result)
+        for task_grads, task_losses, task_evals, digest in (
+            map if pool is None else pool.map
+        )(_grad_task, tasks):
+            grads.extend(task_grads)
+            losses.extend(task_losses)
+            digests += [digest] * len(task_grads)
+            evals += task_evals
     except Exception as exc:
-        raise TrainingError(f"worker {len(results)} failed: {exc}") from exc
+        first, per_task = len(digests), len(blocks[0])
+        who = f"worker {first}" if per_task == 1 else f"workers {first}-{first + per_task - 1}"
+        raise TrainingError(f"{who} failed: {exc}") from exc
     if pool is not None:
         # Workers count their circuit runs in their own processes; the
         # in-process path has already counted them here.
-        add_forward_evals(sum(evals for _, _, evals, _ in results))
-    grads, losses, _, digests = map(list, zip(*results))
+        add_forward_evals(evals)
     return grads, losses, digests
 
 

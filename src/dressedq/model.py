@@ -9,7 +9,9 @@ B samples, features (B, D), is one pre-net matmul, one param_shift_grad
 call running all B * (1 + 2(dq + q)) shifted circuits, and a chain rule of
 a few whole-array calls: tanh taken once, the labels as a boolean one-hot,
 matmuls for every contraction, each written into its block of the gradient
-vector through the block slices the model worked out once.
+vector through the block slices the model worked out once. N lockstep
+replicas' batches, features (N, B, D), share the one param_shift_grad
+call; the pre-net and the chain rule run per replica.
 """
 from __future__ import annotations
 
@@ -153,29 +155,27 @@ def init_model(
     return model
 
 
-def _embed(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh of the pre-net output, and the circuit angles (pi/2) tanh, for
-    features (D,) or a batch (n, D)."""
-    t = np.tanh((model.pre_weights @ features.T).T + model.pre_bias)
-    return t, (np.pi / 2.0) * t
+def _squash(model: HybridModel, features: np.ndarray) -> np.ndarray:
+    """tanh of the pre-net output for features (D,) or a batch (n, D); the
+    circuit's embedding angles are (pi/2) times it."""
+    return np.tanh((model.pre_weights @ features.T).T + model.pre_bias)
 
 
-def _as_features(model: HybridModel, features) -> np.ndarray:
-    """features as float64, shape (D,) or (n, D); any other shape raises
-    ConfigurationError."""
+def _as_features(model: HybridModel, features, replicas: bool = False) -> np.ndarray:
+    """features as float64, shape (D,) or (n, D), or (N, B, D) with
+    `replicas`; any other shape raises ConfigurationError."""
     features = np.asarray(features, dtype=float)
-    if features.ndim not in (1, 2) or features.shape[-1] != model.feature_dim:
-        raise ConfigurationError(
-            f"features shape {features.shape} != ({model.feature_dim},) "
-            f"or (n, {model.feature_dim})"
-        )
+    dim = model.feature_dim
+    if not 1 <= features.ndim <= (3 if replicas else 2) or features.shape[-1] != dim:
+        forms = f"({dim},) or (n, {dim})" + (f" or (N, B, {dim})" if replicas else "")
+        raise ConfigurationError(f"features shape {features.shape} != {forms}")
     return features
 
 
 def forward(model: HybridModel, features: np.ndarray) -> np.ndarray:
     """Logits (C,) for one feature vector (D,), or (n, C) for n of them (n, D)."""
     features = _as_features(model, features)
-    _, embed = _embed(model, features)
+    embed = (np.pi / 2.0) * _squash(model, features)
     qout = quantum_forward(model.spec, model.thetas, embed)
     return qout @ model.post_weights.T + model.post_bias
 
@@ -215,15 +215,21 @@ def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
 
 def backward(
     model: HybridModel, features: np.ndarray, label: int | np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Exact gradient and loss for one labeled sample or a batch.
+) -> tuple[np.ndarray, float] | tuple[np.ndarray, np.ndarray]:
+    """Exact gradient and loss for one labeled sample, a batch, or one
+    batch per replica.
 
     features (D,) with an int label gives that sample's gradient and loss;
     features (B, D) with labels (B,) gives the batch-mean gradient and the
-    mean loss, from one param_shift_grad call over all B samples. The
-    gradient is a float64 vector laid out like model.params.
+    mean loss. features (N, B, D) with labels (N, B) gives the N replicas'
+    batch-mean gradients (N, P) and mean losses (N,), row n bit-identical
+    to the (B, D) call on features[n]. Every form makes one
+    param_shift_grad call over all its samples; the pre-net and the chain
+    rule run once per replica on (B, D) shapes, because a matmul's sums may
+    follow its operands' shapes. A gradient is a float64 vector laid out
+    like model.params.
     """
-    features = _as_features(model, features)
+    features = _as_features(model, features, replicas=True)
     labels = np.asarray(label)
     if labels.shape != features.shape[:-1]:
         raise ConfigurationError(
@@ -232,46 +238,62 @@ def backward(
     if labels.size == 0:
         raise ConfigurationError("empty batch")
 
-    feats = features.reshape(-1, model.feature_dim)
-    onehot = _one_hot(labels, model.num_classes)  # (B, C) bool
-    b = len(onehot)
-    t, embed = _embed(model, feats)  # (B, q)
-    jac_thetas, jac_embed, qout = param_shift_grad(model.spec, model.thetas, embed)
-    logits = qout @ model.post_weights.T + model.post_bias  # (B, C)
-    shifted, e, e_sum = _softmax_terms(logits)
-    losses = np.log(e_sum[:, 0]) - shifted[onehot]
-
-    # Softmax minus one-hot, scaled by 1/B so every sum below is a batch mean.
-    dlogits = e / e_sum
-    dlogits -= onehot
-    dlogits /= b
-
-    grad = np.empty_like(model.params)
-    g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b = model.split(grad)
-    np.matmul(dlogits.T, qout, out=g_post_w)
-    dlogits.sum(axis=0, out=g_post_b)
-
-    dqout = dlogits @ model.post_weights  # (B, q)
-    # Sums over samples b and outputs o: (1, B*q) @ (B*q, d*q) for thetas,
-    # and per sample (1, q) @ (q, q) for the embedding angles. The order of
-    # a matmul's sums follows its operands' strides, so both Jacobians are
-    # contracted C-ordered (param_shift_grad returns them so; no copy).
+    replicas = features.reshape(len(features) if features.ndim == 3 else 1, -1, model.feature_dim)
+    n, b, _ = replicas.shape
+    onehot = _one_hot(labels, model.num_classes)  # (N*B, C) bool
     q, dq = model.spec.qubits, model.thetas.size
+    t = np.empty((n, b, q))
+    for r in range(n):
+        t[r] = _squash(model, replicas[r])
+    jac_thetas, jac_embed, qout = param_shift_grad(
+        model.spec, model.thetas, ((np.pi / 2.0) * t).reshape(n * b, q)
+    )
+    # The order of a matmul's sums follows its operands' strides, so both
+    # Jacobians are contracted C-ordered (param_shift_grad returns them so;
+    # no copy), and so is each replica's row slice of them.
     jac_thetas, jac_embed = np.ascontiguousarray(jac_thetas), np.ascontiguousarray(jac_embed)
-    np.matmul(dqout.reshape(1, b * q), jac_thetas.reshape(b * q, dq), out=g_thetas.reshape(1, dq))
-    dembed = np.matmul(dqout[:, None, :], jac_embed)[:, 0]  # (B, q)
 
-    dz = dembed * (np.pi / 2.0) * (1.0 - t**2)
-    np.matmul(dz.T, feats, out=g_pre_w)
-    dz.sum(axis=0, out=g_pre_b)
-    return grad, float(losses.sum() / b)
+    grads, losses = np.empty((n, model.params.size)), np.empty(n)
+    for r in range(n):
+        rows = slice(r * b, (r + 1) * b)
+        hot, out = onehot[rows], qout[rows]
+        logits = out @ model.post_weights.T + model.post_bias  # (B, C)
+        shifted, e, e_sum = _softmax_terms(logits)
+        losses[r] = (np.log(e_sum[:, 0]) - shifted[hot]).sum() / b
+
+        # Softmax minus one-hot, scaled by 1/B so every sum below is a batch mean.
+        dlogits = e / e_sum
+        dlogits -= hot
+        dlogits /= b
+
+        g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b = model.split(grads[r])
+        np.matmul(dlogits.T, out, out=g_post_w)
+        dlogits.sum(axis=0, out=g_post_b)
+
+        dqout = dlogits @ model.post_weights  # (B, q)
+        # Sums over samples b and outputs o: (1, B*q) @ (B*q, d*q) for
+        # thetas, and per sample (1, q) @ (q, q) for the embedding angles.
+        np.matmul(
+            dqout.reshape(1, b * q),
+            jac_thetas[rows].reshape(b * q, dq),
+            out=g_thetas.reshape(1, dq),
+        )
+        dembed = np.matmul(dqout[:, None, :], jac_embed[rows])[:, 0]  # (B, q)
+
+        dz = dembed * (np.pi / 2.0) * (1.0 - t[r] ** 2)
+        np.matmul(dz.T, replicas[r], out=g_pre_w)
+        dz.sum(axis=0, out=g_pre_b)
+    if features.ndim == 3:
+        return grads, losses
+    return grads[0], float(losses[0])
 
 
 def batch_gradient(
     model: HybridModel, features: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Mean gradient and mean loss over a batch, features (B, D), labels (B,):
-    one backward call."""
+) -> tuple[np.ndarray, float] | tuple[np.ndarray, np.ndarray]:
+    """Mean gradient and mean loss over a batch, features (B, D), labels
+    (B,), or per replica, features (N, B, D), labels (N, B): one backward
+    call."""
     return backward(model, features, labels)
 
 
@@ -284,9 +306,21 @@ def sgd_step(
 ) -> None:
     """In-place momentum SGD on whole vectors: v <- momentum*v + g;
     params <- params - lr*v. grad and velocity are laid out like
-    model.params; a non-finite gradient raises TrainingError."""
+    model.params. Before anything changes, a learning rate that is not
+    positive and finite, a momentum that is negative or not finite (the
+    TrainConfig rules) or a grad or velocity that is not an array of
+    params' shape raises ConfigurationError naming it, and a non-finite
+    gradient raises TrainingError."""
     if not 0 < lr < math.inf:
         raise ConfigurationError(f"learning rate must be positive and finite, got {lr}")
+    if not 0 <= momentum < math.inf:
+        raise ConfigurationError(f"momentum must be finite and >= 0, got {momentum}")
+    for name, vector in (("grad", grad), ("velocity", velocity)):
+        if not (isinstance(vector, np.ndarray) and vector.shape == model.params.shape):
+            raise ConfigurationError(
+                f"{name} must be an array of params' shape {model.params.shape}, "
+                f"got {np.shape(vector)}"
+            )
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; aborting training")
     velocity *= momentum

@@ -166,10 +166,12 @@ def test_chunked_batch_equals_single_chunk(monkeypatch):
 
 
 def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
-    # q=3, d=3, B=5: 125 rows, 65 of them in the first stage. The batch fits
-    # one chunk and forks; with 16-row chunks it runs unforked from |0...0>.
-    # Each stage starts as a one-qubit register with one row per wire of
-    # each of its circuits: 3 * 65 rows, or 3 * 16 per chunk.
+    # q=3, d=3, B=5: 25 rows per sample, 13 of them in the first stage. Each
+    # group of samples that fits one chunk forks: all 5 in one 125-row fork,
+    # or with 50-row chunks, groups of 2, 2 and 1. With 16-row chunks one
+    # sample does not fit, so each sample runs unforked from |0...0> in
+    # chunks of 16 and 9 rows. Each stage or chunk starts as a one-qubit
+    # register with one row per wire of each of its circuits.
     rng = np.random.default_rng(8)
     spec = CircuitSpec(3, 3)
     thetas = rng.uniform(-np.pi, np.pi, (3, 3))
@@ -188,8 +190,11 @@ def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
     monkeypatch.setattr(qsim, "new_zero_state", starting)
     monkeypatch.setattr(qsim, "expect_z_all", measuring)
     results = []
-    for limit, starts, ends in ((circuit.BATCH_AMPLITUDES, [65], [125]),
-                                (16 << 3, [16] * 7 + [13], [16] * 7 + [13])):
+    for limit, starts, ends in (
+        (circuit.BATCH_AMPLITUDES, [65], [125]),
+        (50 << 3, [26, 26, 13], [50, 50, 25]),
+        (16 << 3, [16, 9] * 5, [16, 9] * 5),
+    ):
         monkeypatch.setattr(circuit, "BATCH_AMPLITUDES", limit)
         started.clear()
         measured.clear()
@@ -198,7 +203,7 @@ def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
         assert forward_eval_count() - before == 5 * (1 + 2 * (3 * 3 + 3))
         assert started == [(1, 3 * rows) for rows in starts]
         assert measured == [(8, rows) for rows in ends]
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_ry_angle_count_must_match_rows():
@@ -238,15 +243,20 @@ def test_param_shift_batch_equals_single_calls(case):
     assert_batch_equals_single_calls(*case)
 
 
-def test_param_shift_batch_across_chunk_boundary():
-    # 7 samples of 41 shifted circuits: 287 rows of 2^10 amplitudes, run in
-    # chunks of 256 rows, so one sample's rows straddle the boundary.
-    spec = CircuitSpec(10, 1)
-    assert 7 * circuit_evals_per_sample(spec) > circuit.BATCH_AMPLITUDES >> 10
+def test_param_shift_batch_across_chunk_boundary(monkeypatch):
+    # Samples of 49 shifted circuits of 2^12 amplitudes, run in chunks of 32
+    # rows: every sample's rows straddle a chunk boundary, and the batch
+    # runs one sample at a time. With chunks of 64 rows each sample forks.
+    spec = CircuitSpec(12, 1)
+    assert circuit_evals_per_sample(spec) > circuit.BATCH_AMPLITUDES >> 12
     rng = np.random.default_rng(11)
-    thetas = rng.uniform(-np.pi, np.pi, (1, 10))
-    embeds = rng.uniform(-np.pi, np.pi, (7, 10))
+    thetas = rng.uniform(-np.pi, np.pi, (1, 12))
+    embeds = rng.uniform(-np.pi, np.pi, (3, 12))
     assert_batch_equals_single_calls(spec, thetas, embeds)
+    straddled = param_shift_grad(spec, thetas, embeds)
+    monkeypatch.setattr(circuit, "BATCH_AMPLITUDES", 64 << 12)
+    for forked, unforked in zip(param_shift_grad(spec, thetas, embeds), straddled):
+        assert np.array_equal(forked, unforked)
 
 
 @pytest.mark.parametrize("embeds", [np.zeros((0, 2)), np.zeros((3, 3)), np.zeros((1, 2, 2))])
@@ -291,6 +301,55 @@ def test_batch_gradient_equals_mean_of_single_backwards(case):
         assert np.max(np.abs(block - terms.mean(axis=0)), initial=0.0) <= 1e-13 * scale
 
 
+@st.composite
+def replica_batches(draw):
+    """A model and N replicas' batches, features (N, B, D), labels (N, B)."""
+    net, _, _ = draw(labeled_batches())
+    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    features = rng.normal(size=(n, b, net.feature_dim)) * 3.0
+    return net, features, rng.integers(net.num_classes, size=(n, b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(replica_batches())
+def test_replica_backward_rows_equal_per_replica_backwards(case):
+    net, features, labels = case
+    n, b = labels.shape
+    before = forward_eval_count()
+    grads, losses = backward(net, features, labels)
+    assert forward_eval_count() - before == n * b * circuit_evals_per_sample(net.spec)
+    assert grads.shape == (n, net.params.size) and losses.shape == (n,)
+    for row in range(n):
+        grad, loss = backward(net, features[row], labels[row])
+        assert grads[row].tobytes() == grad.tobytes()
+        assert losses[row] == loss
+
+
+def test_fused_shift_batch_forks_in_groups_equal_to_per_replica_calls(monkeypatch):
+    # q=8, d=6: 113 circuits per sample and chunks of 512 rows, so four
+    # replicas of 4 samples run as four forked groups of 4 samples, each
+    # starting from its 4 * 33 first-stage rows.
+    spec = CircuitSpec(8, 6)
+    assert (circuit.BATCH_AMPLITUDES >> 8) // circuit_evals_per_sample(spec) == 4
+    rng = np.random.default_rng(12)
+    thetas = rng.uniform(-np.pi, np.pi, (6, 8))
+    embeds = rng.uniform(-np.pi, np.pi, (4, 4, 8))
+    started, zero_state = [], qsim.new_zero_state
+
+    def starting(q, rows):
+        started.append(rows)
+        return zero_state(q, rows)
+
+    monkeypatch.setattr(qsim, "new_zero_state", starting)
+    fused = param_shift_grad(spec, thetas, embeds.reshape(16, 8))
+    assert started == [8 * 4 * 33] * 4
+    for replica in range(4):
+        single = param_shift_grad(spec, thetas, embeds[replica])
+        for whole, part in zip(fused, single):
+            assert np.array_equal(whole[4 * replica:4 * replica + 4], part)
+
+
 def test_batch_gradient_is_one_backward_one_shift_pass_one_forward(monkeypatch):
     calls = []
 
@@ -328,6 +387,9 @@ def test_batch_gradient_rejects_bad_batches():
         (features, np.zeros(3, dtype=int)),  # label count
         (features, np.zeros(5, dtype=int)),
         (np.zeros((0, 3)), np.zeros(0, dtype=int)),  # empty batch
+        (np.zeros((2, 4, 3)), np.zeros(8, dtype=int)),  # replica labels
+        (np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=int)),
+        (np.zeros((2, 2, 2, 3)), np.zeros((2, 2, 2), dtype=int)),  # too many axes
     ]
     for feats, labels in bad:
         with pytest.raises(ConfigurationError):

@@ -194,6 +194,38 @@ def test_one_update_per_step_and_caller_model_unchanged(monkeypatch):
     assert np.array_equal(model.params, before)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_in_process_step_is_one_gradient_call_and_one_shift_batch(monkeypatch, workers):
+    from dressedq import model as model_module
+
+    ds, model = make_problem(n=16, q=2, d=1)
+    config = TrainConfig(epochs=1, batch_size=2, base_lr=4e-4, workers=workers, seed=43)
+    calls = []
+
+    def counting(name, fn, arg):
+        def wrapper(*args):
+            calls.append((name, np.shape(args[arg])))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ddp, "batch_gradient", counting("batch_gradient", batch_gradient, 1))
+    shift_grad = model_module.param_shift_grad
+    monkeypatch.setattr(
+        model_module, "param_shift_grad", counting("param_shift_grad", shift_grad, 2)
+    )
+    monkeypatch.setattr(ddp, "sgd_step", counting("sgd_step", sgd_step, 1))
+    train_distributed(model, ds, config, parallel=False)
+    # 16 samples at batch 2: 8 / workers steps, each one gradient call over
+    # every replica's batch and one shift batch over all their samples.
+    step = [
+        ("batch_gradient", (workers, 2, 6)),
+        ("param_shift_grad", (workers * 2, 2)),
+        ("sgd_step", model.params.shape),
+    ]
+    assert calls == step * (8 // workers)
+
+
 def test_replica_check_schedule(monkeypatch):
     ds, model = make_problem(n=8)
     config = TrainConfig(epochs=2, batch_size=1, base_lr=4e-4, workers=2, seed=41)
@@ -234,7 +266,7 @@ def _fail_on_marker(how):
     by raising or by killing its process."""
 
     def failing(replica, features, labels):
-        if np.any(features[:, 0] == MARKER):
+        if np.any(features[..., 0] == MARKER):
             if how == "exit":
                 os._exit(3)
             raise RuntimeError("injected worker fault")
@@ -282,10 +314,13 @@ def test_pool_worker_failure_ends_in_training_error(monkeypatch, how, parallel):
     monkeypatch.setattr(ddp, "batch_gradient", _fail_on_marker(how))
     with time_limit(30.0), pytest.raises(TrainingError) as info:
         train_distributed(model, ds, config, parallel=parallel)
-    if how == "raise":
+    if how == "raise" and parallel:
         # Worker 0's step succeeded; the message names the worker that failed.
         assert "worker 1 failed" in str(info.value)
         assert "injected worker fault" in str(info.value)
+    elif how == "raise":
+        # In-process, one task holds every worker's batch: it names them all.
+        assert str(info.value) == "workers 0-1 failed: injected worker fault"
     else:
         # A dead process breaks the whole pool: the first worker whose
         # result is collected is named.
@@ -296,7 +331,7 @@ def test_pool_worker_failure_ends_in_training_error(monkeypatch, how, parallel):
 def _alter_weights_on_marker(replica, features, labels):
     """A batch_gradient that changes the weights it computes with on a batch
     holding the marker sample."""
-    if np.any(features[:, 0] == MARKER):
+    if np.any(features[..., 0] == MARKER):
         replica.params[0] += 1.0
     return batch_gradient(replica, features, labels)
 
@@ -308,5 +343,8 @@ def test_worker_with_altered_weights_ends_in_sync_error(monkeypatch, parallel):
     first = shard(ds, 2, 1, 0, config.seed)[0]
     ds.features[first, 0] = MARKER
     monkeypatch.setattr(ddp, "batch_gradient", _alter_weights_on_marker)
-    with time_limit(30.0), pytest.raises(SyncError, match=r"^worker 1 "):
+    # In-process every replica computed in worker 0's task, so worker 0 is
+    # the first whose digest differs.
+    named = r"^worker 1 " if parallel else r"^worker 0 "
+    with time_limit(30.0), pytest.raises(SyncError, match=named):
         train_distributed(model, ds, config, parallel=parallel)

@@ -58,6 +58,9 @@ def test_forward_on_n_samples_matches_each_sample():
         assert np.allclose(row, forward(model, xi), rtol=0, atol=1e-12)
     with pytest.raises(ConfigurationError, match=r"\(5, 6\) != \(7,\) or \(n, 7\)"):
         forward(model, x[:, :6])
+    # Only backward takes one batch per replica.
+    with pytest.raises(ConfigurationError, match=r"\(1, 5, 7\) != \(7,\) or \(n, 7\)$"):
+        forward(model, x[None])
 
 
 def test_cross_entropy_uniform():
@@ -100,12 +103,34 @@ def test_non_integer_labels_rejected():
     )
 
 
+def assert_sgd_step_rejected(match, lr=0.1, momentum=0.9, grad_size=0, velocity_size=0):
+    """sgd_step raises ConfigurationError matching `match` and leaves the
+    params and velocity bytes as they were."""
+    model = init_model(CircuitSpec(qubits=2, depth=1), 2, 2, seed=6)
+    size = model.params.size
+    grad = np.ones(size + grad_size)
+    velocity = np.linspace(-1.0, 1.0, size + velocity_size)
+    before = model.params.tobytes(), velocity.tobytes()
+    with pytest.raises(ConfigurationError, match=match):
+        sgd_step(model, grad, lr, momentum, velocity)
+    assert (model.params.tobytes(), velocity.tobytes()) == before
+
+
 @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
 def test_sgd_step_rejects_bad_learning_rate(lr):
-    model = zero_model(q=2, d=1, dim=2, classes=2)
-    with pytest.raises(ConfigurationError, match="learning rate"):
-        sgd_step(model, np.zeros_like(model.params), lr, 0.9, np.zeros_like(model.params))
-    assert np.array_equal(model.params, np.zeros_like(model.params))
+    assert_sgd_step_rejected("learning rate", lr=lr)
+
+
+@pytest.mark.parametrize("momentum", [np.nan, np.inf, -5.0])
+def test_sgd_step_rejects_bad_momentum(momentum):
+    assert_sgd_step_rejected("momentum", momentum=momentum)
+
+
+@pytest.mark.parametrize(
+    "match, grad_size, velocity_size", [("grad", -1, 0), ("grad", 1, 0), ("velocity", 0, -1)]
+)
+def test_sgd_step_rejects_vectors_not_shaped_like_params(match, grad_size, velocity_size):
+    assert_sgd_step_rejected(match, grad_size=grad_size, velocity_size=velocity_size)
 
 
 def numeric_gradient(model, x, label, h=1e-5):
