@@ -13,10 +13,12 @@ d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
 H and the embedding act on wires that are not yet entangled, so the
 simulator builds that part of every circuit as a product state: the q
-wires of K circuits run as one one-qubit register of q*K rows through one
+wires of K circuits run as one one-qubit register of K*q rows through one
 H call and one RY call, and q-1 broadcast multiplies join them into the
 (2^q, K) state. Each step is elementwise per column, so a row of a batch
-still equals its single-row run bit for bit.
+still equals its single-row run bit for bit. The embedding angles keep
+the callers' rows-first layout all the way to that register, as one flat
+(K*q,) Rotation with row k's wire i at k*q + i; only `_run_rows` reads it.
 
 quantum_forward takes one input form: thetas (depth, q), shared by every
 circuit of the call, and embedding angles (q,) or (K, q), rows first, as
@@ -138,11 +140,11 @@ def quantum_forward(
     qsim.Rotation), before any circuit runs.
 
     `fork` is for param_shift_grad only: the sample count B of one of its
-    groups, with per-row theta Rotations over the K rows of a B-sample
-    shift batch in `_shift_index` order and the flat embedding Rotation of
-    the first stage's rows only, wire-major. Their shapes are taken as
-    checked. A batch too large for one chunk runs unforked, which
-    param_shift_grad leaves to a single sample.
+    groups, with the K rows of a B-sample shift batch in `_shift_index`
+    order as per-row theta Rotations and one flat (K*q,) embedding
+    Rotation, rows first. Their shapes are taken as checked. A batch too
+    large for one chunk runs unforked, each row from |0...0> with its own
+    embedding angles, which param_shift_grad leaves to a single sample.
     """
     global _forward_evals
     q = spec.qubits
@@ -150,17 +152,10 @@ def quantum_forward(
     if fork is None:
         thetas, embeds = _check_args(spec, thetas, embed_angles)
         single = embeds.ndim == 1
-        embeds = embeds.reshape(-1, q)
-        k = len(embeds)
-        thetas, embed_rot = qsim.Rotation(thetas), qsim.Rotation(_wire_major(embeds, chunk))
+        k = embeds.size // q
+        thetas, embed_rot = qsim.Rotation(thetas), qsim.Rotation(embeds.ravel())
     else:
         single, k, embed_rot = False, len(thetas.cos), embed_angles
-        if k > chunk:
-            # Too large to fork in one chunk: every row runs from |0...0>, a
-            # row of a later stage with its sample's unshifted embedding.
-            first = len(embed_rot.cos) // q
-            source = np.r_[:first, np.arange(k - first) % fork]
-            embed_rot = embed_rot[_wire_major(source[:, None] + first * np.arange(q), chunk)]
     _forward_evals += k
 
     out = np.empty((k, q))
@@ -175,15 +170,6 @@ def quantum_forward(
     return out[0] if single else out
 
 
-def _wire_major(rows: np.ndarray, chunk: int) -> np.ndarray:
-    """The (K, q) entries of `rows` as one flat array, chunk by chunk of
-    `chunk` rows, each chunk wire-major: wire i of the chunk's row k is at
-    i*rows_in_chunk + k."""
-    full = len(rows) - len(rows) % chunk
-    head = rows[:full].reshape(-1, chunk, rows.shape[1]).transpose(0, 2, 1)
-    return np.concatenate((head.ravel(), rows[full:].T.ravel()))
-
-
 def _run_rows(
     spec: CircuitSpec,
     theta_rot: qsim.Rotation,
@@ -191,33 +177,37 @@ def _run_rows(
     fork: int | None = None,
 ) -> np.ndarray:
     """The circuit layout on a rows-last (2^q, K) state, circuit k in
-    column k; embed_rot holds the (q*K,) embedding angles wire-major (wire
-    i of circuit k at i*K + k), theta_rot (d, q) shared ones or, for
+    column k; embed_rot holds the (K*q,) embedding angles rows first (wire
+    i of circuit k at k*q + i), theta_rot (d, q) shared ones or, for
     param_shift_grad's batch only, (K, d, q) per-row ones. Returns the
     (K, q) Z expectations.
 
-    H and the embedding run on one one-qubit register of q*K rows laid
+    H and the embedding run on one one-qubit register of K*q rows laid
     out like embed_rot, whose wires then multiply into the state with
     wire 0 the most significant bit.
 
-    With `fork` = B, the state starts with embed_rot's rows, and just
-    before each later layer's RYs it grows by that layer's 2qB shifted
-    rows, copies of its first B columns; theta_rot covers the full batch.
+    With `fork` = B, the state starts with the K0 = K - 2qB*max(d-1, 0) rows
+    that differ by the end of layer 0, and just before each later layer's
+    RYs it grows by that layer's 2qB shifted rows, copies of its first B
+    columns.
     """
-    q = spec.qubits
+    q, d = spec.qubits, spec.depth
     shared = theta_rot.cos.ndim == 2
     live = len(embed_rot.cos) // q
+    if fork and d > 1:
+        live -= 2 * q * fork * (d - 1)
+        embed_rot = embed_rot[:q * live]
     register = qsim.new_zero_state(1, rows=q * live)
     qsim.apply_h(register, 0)
     qsim.apply_ry(register, 0, embed_rot)
     # Wires join from the last one up, each new wire the most significant
     # bit, so every multiply's inner loop runs over the whole product so far.
-    wires = register.amplitudes.reshape(2, q, live)
-    amps = wires[:, q - 1]
+    wires = register.amplitudes.reshape(2, live, q)
+    amps = wires[:, :, q - 1]
     for i in range(q - 2, -1, -1):
-        amps = (wires[:, i, None] * amps).reshape(-1, live)
+        amps = (wires[:, None, :, i] * amps).reshape(-1, live)
     state = qsim.StateVector(amps)
-    for layer in range(spec.depth):
+    for layer in range(d):
         for i in range(0, q - 1, 2):
             qsim.apply_cnot(state, i, i + 1)
         for i in range(1, q - 1, 2):
@@ -258,17 +248,17 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     unshifted circuit: the B unshifted rows, then one block of 2B rows per
     angle, the embedding angles first and then the thetas row-major. An
     angle's block is its +pi/2 rows, then its -pi/2 rows, each over the B
-    samples in order, so row r belongs to sample r % B. Returns the
+    samples in order, so row r belongs to sample r % B and takes its
+    sample's unshifted angles except in its own angle's block. Returns the
     rows-first (K, d, q) theta index, in Fortran order, and the flat
-    (q*K0,) embedding index of the first stage only, wire-major as
-    `_run_rows` takes it: the K0 = K - 2qB*max(d-1, 0) rows that differ by
-    the end of layer 0. A gather keeps its index's memory layout, so each
-    gate's column of the gathered theta tables is contiguous, and numpy
-    gathers through a Fortran-ordered index as fast as through a C-ordered
-    one (through a transposed view, about 3x slower).
+    (K*q,) embedding index, rows first. A gather keeps its index's memory
+    layout, so each gate's column of the gathered theta tables is
+    contiguous, and numpy gathers through a Fortran-ordered index as fast
+    as through a C-ordered one (through a transposed view, about 3x
+    slower).
     """
     n_t, n = d * q, d * q + q
-    k, k0 = b * (1 + 2 * n), b * (1 + 2 * n) - 2 * q * b * max(d - 1, 0)
+    k = b * (1 + 2 * n)
     # shift[a, r]: which of _SHIFTS angle a takes in row r, nonzero only in
     # a's own block of the shifted rows, [block, sign, sample].
     p = np.arange(n)
@@ -276,8 +266,8 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     blocks[p, p] = [[1], [2]]
     shift = np.concatenate((np.zeros((n, b), dtype=np.intp), blocks.reshape(n, -1)), axis=1)
     theta_index = (3 * np.arange(n_t)[:, None] + shift[q:]).reshape(d, q, k)
-    samples = np.arange(k0) % b
-    embed_index = (3 * (n_t + q * samples + np.arange(q)[:, None]) + shift[:q, :k0]).ravel()
+    samples = np.arange(k)[:, None] % b
+    embed_index = (3 * (n_t + q * samples + np.arange(q)) + shift[:q].T).ravel()
     theta_index = np.asfortranarray(theta_index.transpose(2, 0, 1))
     theta_index.setflags(write=False)
     embed_index.setflags(write=False)

@@ -39,6 +39,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        whole_number("num_classes", self.num_classes, 1)
         if self.features.ndim != 2:
             raise ConfigurationError(f"features shape {self.features.shape} is not (n, D)")
         n = self.features.shape[0]

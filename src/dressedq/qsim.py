@@ -40,19 +40,24 @@ class StateVector:
     the length: a power of two from 2 to 2^MAX_QUBITS, else ConfigurationError.
 
     The amplitudes are kept C-contiguous float64 (a copy is made if need
-    be): the gates write through reshaped views of them.
+    be): the gates write through reshaped views of them. Complex
+    amplitudes raise ConfigurationError rather than lose their imaginary
+    parts.
     """
 
     __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, amplitudes: np.ndarray):
-        shape = np.shape(amplitudes)
+        amplitudes = np.asarray(amplitudes)
+        shape = amplitudes.shape
         length = shape[0] if len(shape) in (1, 2) else 0
         self.num_qubits = q = length.bit_length() - 1
         if not (1 <= q <= MAX_QUBITS and length == 1 << q):
             raise ConfigurationError(
                 f"amplitudes shape {shape} is not (2^q,) or (2^q, K) for q in 1..{MAX_QUBITS}"
             )
+        if amplitudes.dtype.kind == "c":
+            raise ConfigurationError("amplitudes are complex; the H/RY/CNOT gate set keeps them real")
         self.amplitudes = np.ascontiguousarray(amplitudes, dtype=float)
 
 

@@ -206,6 +206,27 @@ def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_memory_layout_of_embedding_angles_does_not_change_results(monkeypatch):
+    # q=3, d=3: 25 rows per sample. An F-ordered or strided (7, 3) batch
+    # gives the bits of its C-ordered copy at each limit: one forked group
+    # and a one-chunk forward; forked groups of 2 samples; 3-row chunks,
+    # which the forward's 7 rows straddle and in which every sample runs
+    # unforked.
+    rng = np.random.default_rng(13)
+    spec = CircuitSpec(3, 3)
+    thetas = rng.uniform(-np.pi, np.pi, (3, 3))
+    wide = rng.uniform(-np.pi, np.pi, (14, 6))
+    for view in (np.asfortranarray(wide[:7, :3]), wide[::2, ::2]):
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        for limit in (circuit.BATCH_AMPLITUDES, 50 << 3, 3 << 3):
+            monkeypatch.setattr(circuit, "BATCH_AMPLITUDES", limit)
+            got, want = quantum_forward(spec, thetas, view), quantum_forward(spec, thetas, copy)
+            assert got.tobytes() == want.tobytes()
+            pairs = zip(param_shift_grad(spec, thetas, view), param_shift_grad(spec, thetas, copy))
+            assert all(got.tobytes() == want.tobytes() for got, want in pairs)
+
+
 def test_ry_angle_count_must_match_rows():
     with pytest.raises(ValueError, match="for 3 state rows"):
         apply_ry(new_zero_state(2, rows=3), 0, np.zeros(2))

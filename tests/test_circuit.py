@@ -271,25 +271,27 @@ def test_param_shift_non_finite_angle_raises_before_running(bad, b):
 
 
 def test_shift_index_is_cached_and_read_only():
-    # d=2, q=3, B=2: n = 9 angles, K = 38 rows, 26 of them in the first
-    # stage (2 unshifted, then 4 per embedding angle and per layer-0 theta).
+    # d=2, q=3, B=2: n = 9 angles, K = 38 rows (2 unshifted, then 4 per
+    # angle), 26 of them in the first stage and 12 shifting a layer-1 theta.
     theta_index, flat_embed = circuit._shift_index(2, 3, 2)
     assert circuit._shift_index(2, 3, 2)[0] is theta_index
-    assert theta_index.shape == (38, 2, 3) and flat_embed.shape == (3 * 26,)
+    assert theta_index.shape == (38, 2, 3) and flat_embed.shape == (38 * 3,)
     for index in (theta_index, flat_embed):
         with pytest.raises(ValueError):
             index[(0,) * index.ndim] = 0
     # Each gate's column of the index, and so of a gather through it, is
-    # contiguous; the embedding index is one flat run, wire-major, for the
+    # contiguous; the embedding index is one flat run, rows first, for the
     # one embedding RY call.
     table = np.arange(3 * 12.0)
     for column in (theta_index[:, 1, 2], flat_embed, table[theta_index][:, 0, 1]):
         assert column.flags.c_contiguous
-    embed_index = flat_embed.reshape(3, 26).T
+    embed_index = flat_embed.reshape(38, 3)
     # Each angle's three values (unshifted, +pi/2, -pi/2) sit at 3a..3a+2:
     # thetas are a = 0..5, sample s's embedding angles a = 6 + 3s + i.
     assert np.array_equal(np.unique(theta_index[:, 1, 2]), [15, 16, 17])
     assert np.array_equal(np.unique(embed_index[1::2, 2]), [33, 34, 35])
+    # The later stage's rows carry their sample's unshifted embedding.
+    assert np.array_equal(embed_index[26:] % 3, np.zeros((12, 3)))
     # Row r is sample r % 2's circuit: the 2 unshifted rows, then per angle
     # (embedding, then thetas row-major) its +pi/2 rows and its -pi/2 rows.
     unshifted = np.concatenate((theta_index[:2].reshape(2, -1), embed_index[:2]), axis=1)
@@ -298,10 +300,8 @@ def test_shift_index_is_cached_and_read_only():
         for sign in (1, 2):
             for s in range(2):
                 r = 2 + 4 * p + 2 * (sign - 1) + s
-                row = theta_index[r].ravel()
-                if r < 26:
-                    row = np.concatenate((row, embed_index[r]))
-                moved = np.flatnonzero(row != unshifted[s, : len(row)])
+                row = np.concatenate((theta_index[r].ravel(), embed_index[r]))
+                moved = np.flatnonzero(row != unshifted[s])
                 angle = (p - 3) if p >= 3 else 6 + p
                 assert list(moved) == [angle] and row[angle] % 3 == sign, (p, sign, s)
 

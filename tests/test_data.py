@@ -26,6 +26,9 @@ def test_dataset_width_is_its_features_width():
         with pytest.raises(ConfigurationError, match="whole numbers"):
             Dataset(np.zeros((3, 5)), labels, 2)
     assert Dataset(np.zeros((3, 5)), np.array([0.0, 1.0, 1.0]), 2).num_classes == 2
+    for num_classes in (2.5, True, 0, -1, "2"):
+        with pytest.raises(ConfigurationError, match="num_classes"):
+            Dataset(np.zeros((2, 3)), np.array([0, 1]), num_classes)
 
 
 def test_datasets_compare_by_identity():

@@ -37,6 +37,12 @@ def test_state_rejects_lengths_other_than_two_to_the_q(shape):
         StateVector(np.broadcast_to(0.0, shape))
 
 
+def test_state_rejects_complex_amplitudes():
+    for amps in (np.array([1j, 0]), np.zeros((4, 2), dtype=complex), [0.0, 1 + 0j]):
+        with pytest.raises(ConfigurationError, match="amplitudes"):
+            StateVector(amps)
+
+
 def test_two_qubit_amplitudes_read_out_two_wires():
     s = StateVector(np.array([1.0, 0, 0, 0]))
     assert s.num_qubits == 2
