@@ -40,6 +40,13 @@ class Dataset:
 
     def __post_init__(self):
         whole_number("num_classes", self.num_classes, 1)
+        try:
+            self.features = np.asarray(self.features, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"features must be numbers: {exc}") from None
+        if not (isinstance(self.labels, np.ndarray) and self.labels.dtype.kind in "iuf"):
+            got = getattr(self.labels, "dtype", type(self.labels).__name__)
+            raise ConfigurationError(f"labels must be a numeric array, got {got}")
         if self.features.ndim != 2:
             raise ConfigurationError(f"features shape {self.features.shape} is not (n, D)")
         n = self.features.shape[0]

@@ -15,9 +15,9 @@ model crosses the process boundary as itself, pickled as its spec, sizes
 and params vector. The pool gets one task per worker per step, n = 1. The
 serial path (parallel=False) executes the same schedule on one thread as
 one task per step holding all N workers' batches and the canonical model
-itself, so one backward call runs every replica's shifted circuits as one
-batch; backward keeps each replica's pre-net and chain rule on its own
-(B, D) rows, and results are bit-identical to the pool's.
+itself, so one backward call runs every replica as one stacked pass whose
+matmuls keep each replica's (B, D) slices, and results are bit-identical
+to the pool's.
 """
 from __future__ import annotations
 

@@ -4,14 +4,12 @@ forward(x): z = W_pre x + b_pre; embed = (pi/2) tanh(z);
             qout = quantum_forward(embed); logits = W_post qout + b_post.
 
 Gradients are exact: analytic chain rule through both linear layers and
-the tanh squash, parameter-shift Jacobians through the circuit. A batch of
-B samples, features (B, D), is one pre-net matmul, one param_shift_grad
-call running all B * (1 + 2(dq + q)) shifted circuits, and a chain rule of
-a few whole-array calls: tanh taken once, the labels as a boolean one-hot,
-matmuls for every contraction, each written into its block of the gradient
-vector through the block slices the model worked out once. N lockstep
-replicas' batches, features (N, B, D), share the one param_shift_grad
-call; the pre-net and the chain rule run per replica.
+the tanh squash, parameter-shift Jacobians through the circuit. backward
+runs one sample, a batch (B, D) or N lockstep replicas' batches (N, B, D)
+as one pass over (N, B, ·) arrays: one stacked pre-net matmul, one
+param_shift_grad call over all N * B samples' shifted circuits, and a
+chain rule of stacked matmuls written into the blocks of the (N, P)
+gradients. Each matmul's slices keep one replica's (B, D) shapes.
 """
 from __future__ import annotations
 
@@ -92,9 +90,10 @@ class HybridModel:
         return HybridModel, (self.spec, self.feature_dim, self.num_classes, self.params)
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views of a params-shaped vector as the five blocks, in checkpoint
-        order: pre_weights, pre_bias, thetas, post_weights, post_bias."""
-        return tuple(vec[where].reshape(shape) for where, shape in self._slices)
+        """Views of a params vector, or a stack (..., P) of them, as the five
+        blocks (..., *shape): pre_weights, pre_bias, thetas, post_weights, post_bias."""
+        lead = vec.shape[:-1]
+        return tuple(vec[..., where].reshape(*lead, *shape) for where, shape in self._slices)
 
     def copy(self) -> "HybridModel":
         return HybridModel(self.spec, self.feature_dim, self.num_classes, self.params.copy())
@@ -156,9 +155,11 @@ def init_model(
 
 
 def _squash(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """tanh of the pre-net output for features (D,) or a batch (n, D); the
-    circuit's embedding angles are (pi/2) times it."""
-    return np.tanh((model.pre_weights @ features.T).T + model.pre_bias)
+    """tanh of the pre-net output for features (B, D) or (N, B, D), one (q, D)
+    @ (D, B) product per batch, C-ordered (the product's transpose is not),
+    so the embedding angles, (pi/2) times it, reach the circuit rows first."""
+    z = (model.pre_weights @ features.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.tanh(z + model.pre_bias, order="C")
 
 
 def _as_features(model: HybridModel, features, replicas: bool = False) -> np.ndarray:
@@ -173,8 +174,11 @@ def _as_features(model: HybridModel, features, replicas: bool = False) -> np.nda
 
 
 def forward(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """Logits (C,) for one feature vector (D,), or (n, C) for n of them (n, D)."""
+    """Logits (n, C) for n feature vectors (n, D), or (C,) for one (D,), run
+    as its one-row batch."""
     features = _as_features(model, features)
+    if features.ndim == 1:
+        return forward(model, features[None])[0]
     embed = (np.pi / 2.0) * _squash(model, features)
     qout = quantum_forward(model.spec, model.thetas, embed)
     return qout @ model.post_weights.T + model.post_bias
@@ -223,11 +227,10 @@ def backward(
     features (B, D) with labels (B,) gives the batch-mean gradient and the
     mean loss. features (N, B, D) with labels (N, B) gives the N replicas'
     batch-mean gradients (N, P) and mean losses (N,), row n bit-identical
-    to the (B, D) call on features[n]. Every form makes one
-    param_shift_grad call over all its samples; the pre-net and the chain
-    rule run once per replica on (B, D) shapes, because a matmul's sums may
-    follow its operands' shapes. A gradient is a float64 vector laid out
-    like model.params.
+    to the (B, D) call on features[n]: every form is one pass over
+    (N, B, ·) arrays, N = 1 for the first two, whose matmuls keep one
+    replica's (B, D) slices, as a matmul's sums may follow its operands'
+    shapes. A gradient is a float64 vector laid out like model.params.
     """
     features = _as_features(model, features, replicas=True)
     labels = np.asarray(label)
@@ -238,51 +241,44 @@ def backward(
     if labels.size == 0:
         raise ConfigurationError("empty batch")
 
-    replicas = features.reshape(len(features) if features.ndim == 3 else 1, -1, model.feature_dim)
-    n, b, _ = replicas.shape
-    onehot = _one_hot(labels, model.num_classes)  # (N*B, C) bool
+    x = features.reshape(len(features) if features.ndim == 3 else 1, -1, model.feature_dim)
+    n, b, _ = x.shape
     q, dq = model.spec.qubits, model.thetas.size
-    t = np.empty((n, b, q))
-    for r in range(n):
-        t[r] = _squash(model, replicas[r])
+    onehot = _one_hot(labels, model.num_classes).reshape(n, b, -1)  # (N, B, C) bool
+    t = _squash(model, x)  # (N, B, q)
     jac_thetas, jac_embed, qout = param_shift_grad(
         model.spec, model.thetas, ((np.pi / 2.0) * t).reshape(n * b, q)
     )
     # The order of a matmul's sums follows its operands' strides, so both
     # Jacobians are contracted C-ordered (param_shift_grad returns them so;
-    # no copy), and so is each replica's row slice of them.
-    jac_thetas, jac_embed = np.ascontiguousarray(jac_thetas), np.ascontiguousarray(jac_embed)
+    # no copy), and so is each replica's slice of them.
+    jac_thetas = np.ascontiguousarray(jac_thetas).reshape(n, b * q, dq)
+    jac_embed = np.ascontiguousarray(jac_embed).reshape(n, b, q, q)
+    qout = qout.reshape(n, b, q)
 
-    grads, losses = np.empty((n, model.params.size)), np.empty(n)
-    for r in range(n):
-        rows = slice(r * b, (r + 1) * b)
-        hot, out = onehot[rows], qout[rows]
-        logits = out @ model.post_weights.T + model.post_bias  # (B, C)
-        shifted, e, e_sum = _softmax_terms(logits)
-        losses[r] = (np.log(e_sum[:, 0]) - shifted[hot]).sum() / b
+    logits = qout @ model.post_weights.T + model.post_bias  # (N, B, C)
+    shifted, e, e_sum = _softmax_terms(logits)
+    losses = (np.log(e_sum[..., 0]) - shifted[onehot].reshape(n, b)).sum(axis=1) / b
 
-        # Softmax minus one-hot, scaled by 1/B so every sum below is a batch mean.
-        dlogits = e / e_sum
-        dlogits -= hot
-        dlogits /= b
+    # Softmax minus one-hot, scaled by 1/B so every sum below is a batch mean.
+    dlogits = e / e_sum
+    dlogits -= onehot
+    dlogits /= b
 
-        g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b = model.split(grads[r])
-        np.matmul(dlogits.T, out, out=g_post_w)
-        dlogits.sum(axis=0, out=g_post_b)
+    grads = np.empty((n, model.params.size))
+    g_pre_w, g_pre_b, g_thetas, g_post_w, g_post_b = model.split(grads)
+    np.matmul(dlogits.swapaxes(1, 2), qout, out=g_post_w)
+    dlogits.sum(axis=1, out=g_post_b)
 
-        dqout = dlogits @ model.post_weights  # (B, q)
-        # Sums over samples b and outputs o: (1, B*q) @ (B*q, d*q) for
-        # thetas, and per sample (1, q) @ (q, q) for the embedding angles.
-        np.matmul(
-            dqout.reshape(1, b * q),
-            jac_thetas[rows].reshape(b * q, dq),
-            out=g_thetas.reshape(1, dq),
-        )
-        dembed = np.matmul(dqout[:, None, :], jac_embed[rows])[:, 0]  # (B, q)
+    dqout = dlogits @ model.post_weights  # (N, B, q)
+    # Sums over samples b and outputs o: (1, B*q) @ (B*q, d*q) for
+    # thetas, and per sample (1, q) @ (q, q) for the embedding angles.
+    np.matmul(dqout.reshape(n, 1, b * q), jac_thetas, out=g_thetas.reshape(n, 1, dq))
+    dembed = np.matmul(dqout[..., None, :], jac_embed)[..., 0, :]  # (N, B, q)
 
-        dz = dembed * (np.pi / 2.0) * (1.0 - t[r] ** 2)
-        np.matmul(dz.T, replicas[r], out=g_pre_w)
-        dz.sum(axis=0, out=g_pre_b)
+    dz = dembed * (np.pi / 2.0) * (1.0 - t**2)
+    np.matmul(dz.swapaxes(1, 2), x, out=g_pre_w)
+    dz.sum(axis=1, out=g_pre_b)
     if features.ndim == 3:
         return grads, losses
     return grads[0], float(losses[0])

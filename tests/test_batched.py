@@ -287,10 +287,10 @@ def test_param_shift_rejects_bad_batch_shapes(embeds):
 
 
 @st.composite
-def labeled_batches(draw):
+def labeled_batches(draw, max_dim=6):
     q = draw(st.integers(1, 3))
     d = draw(st.integers(0, 2))
-    dim = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, max_dim))
     classes = draw(st.integers(2, 4))
     b = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**16))
@@ -324,9 +324,12 @@ def test_batch_gradient_equals_mean_of_single_backwards(case):
 
 @st.composite
 def replica_batches(draw):
-    """A model and N replicas' batches, features (N, B, D), labels (N, B)."""
-    net, _, _ = draw(labeled_batches())
-    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    """A model and N replicas' batches, features (N, B, D), labels (N, B).
+    B and D reach past numpy's 8-element pairwise-summation block, so the
+    stacked sums over each batch and the pre-net's products are checked at
+    widths where a different summation order would show."""
+    net, _, _ = draw(labeled_batches(max_dim=64))
+    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     features = rng.normal(size=(n, b, net.feature_dim)) * 3.0
     return net, features, rng.integers(net.num_classes, size=(n, b))

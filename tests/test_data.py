@@ -29,6 +29,16 @@ def test_dataset_width_is_its_features_width():
     for num_classes in (2.5, True, 0, -1, "2"):
         with pytest.raises(ConfigurationError, match="num_classes"):
             Dataset(np.zeros((2, 3)), np.array([0, 1]), num_classes)
+    # Features are read as a float64 array, with no copy of one; labels must
+    # be a numeric array. Anything else raises ConfigurationError naming it.
+    features = np.zeros((2, 3))
+    assert Dataset(features, np.array([0, 1]), 2).features is features
+    assert Dataset([[1.0, 2.0]], np.array([0]), 1).features.dtype == np.float64
+    for labels in ([0], np.array(["0"]), np.array([True])):
+        with pytest.raises(ConfigurationError, match="labels must be a numeric array"):
+            Dataset([[1.0, 2.0]], labels, 1)
+    with pytest.raises(ConfigurationError, match="features must be numbers"):
+        Dataset([["a", "b"]], np.array([0]), 1)
 
 
 def test_datasets_compare_by_identity():

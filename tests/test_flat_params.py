@@ -106,6 +106,16 @@ def test_views_share_memory_with_params():
             assert np.array_equal(view, old - 0.5), how
         model.params[-1] = 7.0
         assert model.post_bias[-1] == 7.0, how
+        # A stack of params-shaped vectors (N, P) splits into (N, ...) blocks
+        # whose row r is the split of row r, each a view of the stack.
+        stack = np.arange(3.0 * model.params.size).reshape(3, -1)
+        blocks = model.split(stack)
+        assert [v.shape for v in blocks] == [(3, 2, 3), (3, 2), (3, 1, 2), (3, 2, 2), (3, 2)], how
+        for block in blocks:
+            assert np.shares_memory(block, stack), how
+        for r in range(3):
+            for block, row in zip(blocks, model.split(stack[r])):
+                assert np.array_equal(block[r], row), how
 
 
 def test_sgd_step_moves_the_views():

@@ -56,6 +56,8 @@ def test_forward_on_n_samples_matches_each_sample():
     assert logits.shape == (5, 3)
     for row, xi in zip(logits, x):
         assert np.allclose(row, forward(model, xi), rtol=0, atol=1e-12)
+        # One sample runs as its one-row batch, bit for bit.
+        assert forward(model, xi).tobytes() == forward(model, xi[None])[0].tobytes()
     with pytest.raises(ConfigurationError, match=r"\(5, 6\) != \(7,\) or \(n, 7\)"):
         forward(model, x[:, :6])
     # Only backward takes one batch per replica.
