@@ -32,20 +32,22 @@ checked again.
 
 A parameter-shift batch forks. A circuit that shifts a layer-l theta
 equals its sample's unshifted circuit until layer l's RYs, so the batch's
-rows are ordered by where they first differ: the B unshifted rows, then
-the embedding shifts, then the layer-0 shifts, then those of each later
-layer. The first three groups start as one product state and run
-through layer 0 together; just before layer l's RYs (l >= 1) the state grows
-by layer l's 2qB rows, copies of the B unshifted columns. The gate calls
-stay one per gate of the layout, each on fewer rows, and every amplitude
-goes through the arithmetic of an unforked run, so results are
-bit-identical to running each row from |0...0>. param_shift_grad forks in
-groups of whole samples, as many as fit one BATCH_AMPLITUDES chunk, one
-quantum_forward call per group; only a single sample whose rows exceed a
-chunk runs unforked, in chunks. The fork lives only in this simulator: a
-remote backend runs every shifted circuit from |0...0> as its own job, so
-circuit_evals_per_sample, forward_eval_count and latency.jobs_per_epoch
-still count each shifted circuit as one evaluation.
+rows are ordered by where they first differ, one closed-form rule
+(`_shift_index`): the B unshifted rows, then the embedding shifts, then
+the layer-0 shifts, then those of each later layer. The first three
+groups start as one product state and run through layer 0 together; just
+before layer l's RYs (l >= 1) the state grows by layer l's 2qB rows,
+copies of the B unshifted columns. The gate calls stay one per gate of
+the layout, each on fewer rows, and every amplitude goes through the
+arithmetic of an unforked run, so results are bit-identical to running
+each row from |0...0>. param_shift_grad is one loop over groups of whole
+samples, as many as fit one BATCH_AMPLITUDES chunk, each one
+quantum_forward call whose results go straight into the group's rows;
+only a single sample whose rows exceed a chunk runs unforked, in chunks.
+The fork lives only in this simulator: a remote backend runs every
+shifted circuit from |0...0> as its own job, so circuit_evals_per_sample,
+forward_eval_count and latency.jobs_per_epoch still count each shifted
+circuit as one evaluation.
 """
 from __future__ import annotations
 
@@ -243,32 +245,29 @@ def _shift_index(d: int, q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 
     The batch's angle values are laid out flat as 3 per angle (`_SHIFTS`
     order): the d*q thetas in row-major order, then the q embedding angles
-    of each sample. The batch's K = B*(1 + 2n) rows (n = d*q + q angles)
-    are ordered by the layer where they first differ from their sample's
-    unshifted circuit: the B unshifted rows, then one block of 2B rows per
-    angle, the embedding angles first and then the thetas row-major. An
-    angle's block is its +pi/2 rows, then its -pi/2 rows, each over the B
-    samples in order, so row r belongs to sample r % B and takes its
-    sample's unshifted angles except in its own angle's block. Returns the
-    rows-first (K, d, q) theta index, in Fortran order, and the flat
-    (K*q,) embedding index, rows first. A gather keeps its index's memory
-    layout, so each gate's column of the gathered theta tables is
-    contiguous, and numpy gathers through a Fortran-ordered index as fast
-    as through a C-ordered one (through a transposed view, about 3x
-    slower).
+    of each sample. The batch has K = B*(1 + 2n) rows (n = d*q + q angles),
+    ordered by the layer where they first differ from their sample's
+    unshifted circuit, and one rule gives every row's values: row r is
+    sample r % B's circuit; rows r < B are unshifted, and row r >= B
+    shifts only angle (r - B) // 2B in fork order (the embedding angles,
+    then the thetas row-major), by +pi/2 in the first B rows of that
+    angle's block and by -pi/2 in the next B. Returns the rows-first
+    (K, d, q) theta index, in Fortran order, and the flat (K*q,) embedding
+    index, rows first. A gather keeps its index's memory layout, so each
+    gate's column of the gathered theta tables is contiguous, and numpy
+    gathers through a Fortran-ordered index as fast as through a C-ordered
+    one (through a transposed view, about 3x slower).
     """
-    n_t, n = d * q, d * q + q
-    k = b * (1 + 2 * n)
-    # shift[a, r]: which of _SHIFTS angle a takes in row r, nonzero only in
-    # a's own block of the shifted rows, [block, sign, sample].
-    p = np.arange(n)
-    blocks = np.zeros((n, n, 2, b), dtype=np.intp)
-    blocks[p, p] = [[1], [2]]
-    shift = np.concatenate((np.zeros((n, b), dtype=np.intp), blocks.reshape(n, -1)), axis=1)
-    theta_index = (3 * np.arange(n_t)[:, None] + shift[q:]).reshape(d, q, k)
-    samples = np.arange(k)[:, None] % b
-    embed_index = (3 * (n_t + q * samples + np.arange(q)) + shift[:q].T).ravel()
-    theta_index = np.asfortranarray(theta_index.transpose(2, 0, 1))
+    n_t = d * q
+    k = b * (1 + 2 * (n_t + q))
+    r = np.arange(k)[:, None]
+    # Row r's shifted angle in fork order and its _SHIFTS code there; the
+    # unshifted rows r < B fall in angle -1, which matches no angle.
+    angle, offset = np.divmod(r - b, 2 * b)
+    code = 1 + offset // b
+    theta_index = 3 * np.arange(n_t) + code * (angle == q + np.arange(n_t))
+    theta_index = np.asfortranarray(theta_index.reshape(k, d, q))
+    embed_index = (3 * (n_t + q * (r % b) + np.arange(q)) + code * (angle == np.arange(q))).ravel()
     theta_index.setflags(write=False)
     embed_index.setflags(write=False)
     return theta_index, embed_index
@@ -286,59 +285,49 @@ def param_shift_grad(
       value               = quantum_forward at the unshifted point.
     For a batch of B samples, embed_angles (B, q), each result gains a
     leading B axis and row b equals the single-sample call on embed_angles[b]
-    exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample. The
-    samples run in groups, as many whole samples as fit one BATCH_AMPLITUDES
-    chunk (at least one), each group one quantum_forward batch. An angle
-    takes only three values in a group (unshifted, +pi/2, -pi/2), so one
-    qsim.Rotation converts those, the thetas once for all its samples, and
-    the group's tables are gathered from it through the cached
-    `_shift_index` and passed to quantum_forward as Rotations, with
-    `fork` = the group's sample count, the only call that runs per-row
-    thetas. Shapes are checked here by quantum_forward's rule, with B >= 1,
-    and a wrong one raises ConfigurationError; a non-finite angle raises
-    ValueError. Both happen before any circuit runs.
+    exactly. Costs 1 + 2*(depth*q + q) circuit evaluations per sample. One
+    loop runs the samples in groups, as many whole samples as fit one
+    BATCH_AMPLITUDES chunk (at least one), each group one quantum_forward
+    batch whose differences are written straight into the group's rows of
+    the C-ordered results. An angle takes only three values in a group
+    (unshifted, +pi/2, -pi/2), so one qsim.Rotation converts those, the
+    thetas once for all its samples, and the group's tables are gathered
+    from it through the cached `_shift_index` and passed to quantum_forward
+    as Rotations, with `fork` = the group's sample count, the only call
+    that runs per-row thetas. Shapes are checked here by quantum_forward's
+    rule, with B >= 1, and a wrong one raises ConfigurationError; a
+    non-finite angle raises ValueError. Both happen before any circuit runs.
     """
     thetas, embed_angles = _check_args(spec, thetas, embed_angles)
-    q = spec.qubits
+    q, d = spec.qubits, spec.depth
     if embed_angles.size == 0:
         raise ConfigurationError(f"param_shift_grad takes B >= 1 samples, got {embed_angles.shape}")
     embeds = embed_angles.reshape(-1, q)
+    count = len(embeds)
     group = max(1, (BATCH_AMPLITUDES >> q) // circuit_evals_per_sample(spec))
-    if len(embeds) <= group:
-        jac_thetas, jac_embed, value = _shift_group(spec, thetas, embeds)
-    else:
-        parts = zip(*(
-            _shift_group(spec, thetas, embeds[start:start + group])
-            for start in range(0, len(embeds), group)
-        ))
-        jac_thetas, jac_embed, value = (np.concatenate(part) for part in parts)
+    jac_thetas, jac_embed = np.empty((count, q, d, q)), np.empty((count, q, q))
+    value = np.empty((count, q))
+    for start in range(0, count, group):
+        rows = slice(start, start + group)
+        group_embeds = embeds[rows]
+        b = len(group_embeds)
+        base = np.concatenate((thetas.ravel(), group_embeds.ravel()))
+        rot = qsim.Rotation((base[:, None] + _SHIFTS).ravel())
+        theta_index, embed_index = _shift_index(d, q, b)
+        out = quantum_forward(spec, rot[theta_index], rot[embed_index], fork=b)
+        # shifted[p, sign, b, o], angle p in fork order (the embedding, then
+        # thetas row-major); each difference is written through a [p, b, o]
+        # view of the group's rows.
+        shifted = out[b:].reshape(-1, 2, b, q)
+        theta_view = jac_thetas[rows].reshape(b, q, d * q).transpose(2, 0, 1)
+        np.subtract(shifted[:q, 0], shifted[:q, 1], out=jac_embed[rows].transpose(2, 0, 1))
+        np.subtract(shifted[q:, 0], shifted[q:, 1], out=theta_view)
+        value[rows] = out[:b]
+    jac_thetas /= 2.0
+    jac_embed /= 2.0
     if embed_angles.ndim == 1:
         return jac_thetas[0], jac_embed[0], value[0]
     return jac_thetas, jac_embed, value
-
-
-def _shift_group(
-    spec: CircuitSpec, thetas: np.ndarray, embeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """param_shift_grad's results for the B samples of embeds (B, q), run
-    as one forked quantum_forward batch."""
-    q, d = spec.qubits, spec.depth
-    b = len(embeds)
-    base = np.concatenate((thetas.ravel(), embeds.ravel()))
-    rot = qsim.Rotation((base[:, None] + _SHIFTS).ravel())
-    theta_index, embed_index = _shift_index(d, q, b)
-    out = quantum_forward(spec, rot[theta_index], rot[embed_index], fork=b)
-    # shifted[p, sign, b, o], angle p in fork order (the embedding, then
-    # thetas row-major); each difference is written through a [p, b, o]
-    # view into C-ordered Jacobians.
-    shifted = out[b:].reshape(-1, 2, b, q)
-    jac_thetas, jac_embed = np.empty((b, q, d, q)), np.empty((b, q, q))
-    theta_view = jac_thetas.reshape(b, q, d * q).transpose(2, 0, 1)
-    np.subtract(shifted[:q, 0], shifted[:q, 1], out=jac_embed.transpose(2, 0, 1))
-    np.subtract(shifted[q:, 0], shifted[q:, 1], out=theta_view)
-    jac_thetas /= 2.0
-    jac_embed /= 2.0
-    return jac_thetas, jac_embed, out[:b]
 
 
 def circuit_evals_per_sample(spec: CircuitSpec) -> int:

@@ -72,8 +72,15 @@ def new_zero_state(num_qubits: int, rows: int | None = None) -> StateVector:
 
 
 def _check_wire(state: StateVector, wire: int) -> None:
-    if not (0 <= wire < state.num_qubits):
-        raise IndexError(f"wire {wire} out of range for {state.num_qubits} qubits")
+    """IndexError naming `wire` unless it is a whole number in 0..q-1 by
+    errors.whole_number's rule: a bool would act on wire 0 or 1, and a
+    float would fail only after a gate had changed the amplitudes."""
+    if type(wire) is int and 0 <= wire < state.num_qubits:
+        return
+    try:
+        whole_number("wire", wire, 0, state.num_qubits - 1)
+    except ConfigurationError as err:
+        raise IndexError(str(err)) from None
 
 
 def _split(values: np.ndarray, wire: int) -> np.ndarray:

@@ -199,7 +199,10 @@ def test_param_shift_fork_equals_unforked_fallback(monkeypatch):
         started.clear()
         measured.clear()
         before = forward_eval_count()
-        results.append([x.tobytes() for x in param_shift_grad(spec, thetas, embeds)])
+        grads = param_shift_grad(spec, thetas, embeds)
+        # model.backward's bits rely on C-ordered Jacobians.
+        assert all(x.flags.c_contiguous for x in grads)
+        results.append([x.tobytes() for x in grads])
         assert forward_eval_count() - before == 5 * (1 + 2 * (3 * 3 + 3))
         assert started == [(1, 3 * rows) for rows in starts]
         assert measured == [(8, rows) for rows in ends]

@@ -304,6 +304,19 @@ def test_shift_index_is_cached_and_read_only():
                 moved = np.flatnonzero(row != unshifted[s])
                 angle = (p - 3) if p >= 3 else 6 + p
                 assert list(moved) == [angle] and row[angle] % 3 == sign, (p, sign, s)
+    # The whole index against its row rule, written out one row at a time.
+    for d, q, b in ((0, 1, 1), (0, 2, 3), (1, 1, 3), (2, 3, 2), (3, 2, 3), (1, 4, 1)):
+        theta_index, flat_embed = circuit._shift_index(d, q, b)
+        assert theta_index.flags.f_contiguous and flat_embed.flags.c_contiguous
+        n = d * q + q
+        for r in range(b * (1 + 2 * n)):
+            # Fork order: the embedding angles, then the thetas row-major.
+            fork = [3 * (d * q + q * (r % b) + i) for i in range(q)]
+            fork += [3 * t for t in range(d * q)]
+            if r >= b:
+                fork[(r - b) // (2 * b)] += 1 if (r - b) % (2 * b) < b else 2
+            assert list(flat_embed[q * r:q * (r + 1)]) == fork[:q], (d, q, b, r)
+            assert list(theta_index[r].ravel()) == fork[q:], (d, q, b, r)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,33 @@ def test_cnot_rejects_equal_wires():
 def test_wire_out_of_range(op):
     with pytest.raises(IndexError):
         op(new_zero_state(2), 2)
+
+
+@pytest.mark.parametrize("wire", [True, 1.0, np.float64(1.0)])
+@pytest.mark.parametrize(
+    "op",
+    [
+        apply_h,
+        lambda s, w: apply_ry(s, w, 0.3),
+        lambda s, w: apply_cnot(s, w, 0),
+        lambda s, w: apply_cnot(s, 0, w),
+    ],
+)
+def test_wire_that_is_not_a_whole_number_fails_before_any_change(op, wire):
+    # A bool reads as wire 1 and a float reaches the index arithmetic only
+    # after RY has scaled the amplitudes; both are refused first.
+    state = new_zero_state(2)
+    apply_h(state, 0)
+    apply_ry(state, 1, 0.7)
+    before = state.amplitudes.copy()
+    with pytest.raises(IndexError, match="wire.*" + re.escape(repr(wire))):
+        op(state, wire)
+    assert np.array_equal(state.amplitudes, before)
+    # A numpy integer is a whole number and acts like the int.
+    state, plain = new_zero_state(2), new_zero_state(2)
+    op(state, np.int64(1))
+    op(plain, 1)
+    assert np.array_equal(state.amplitudes, plain.amplitudes)
 
 
 def test_expect_z_zero_state():
