@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim
-from .errors import ConfigurationError, whole_number
+from .errors import ConfigurationError, float_array, whole_number
 
 MAX_DEPTH = 64
 
@@ -98,20 +98,11 @@ class CircuitSpec:
         whole_number("depth", self.depth, 0, MAX_DEPTH)
 
 
-def _angles(name: str, angles) -> np.ndarray:
-    """angles as a float64 array; a ragged list or anything numpy cannot
-    read as numbers raises ConfigurationError naming `name`."""
-    try:
-        return np.asarray(angles, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"{name} is not an array of angles: {err}") from None
-
-
 def _check_args(spec: CircuitSpec, thetas, embed_angles) -> tuple[np.ndarray, np.ndarray]:
     """thetas and embed_angles as float64 arrays of quantum_forward's input
     form, else ConfigurationError naming the argument."""
     q, d = spec.qubits, spec.depth
-    thetas, embed_angles = _angles("thetas", thetas), _angles("embed_angles", embed_angles)
+    thetas, embed_angles = float_array("thetas", thetas), float_array("embed_angles", embed_angles)
     if embed_angles.ndim not in (1, 2) or embed_angles.shape[-1] != q:
         raise ConfigurationError(
             f"embed_angles shape {embed_angles.shape} != ({q},) or (K, {q})"

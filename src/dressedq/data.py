@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError, whole_number
+from .errors import ConfigurationError, DataFormatError, float_array, real_number, whole_number
 
 
 def seeded_rng(seed, *stream: int) -> np.random.Generator:
@@ -40,10 +40,7 @@ class Dataset:
 
     def __post_init__(self):
         whole_number("num_classes", self.num_classes, 1)
-        try:
-            self.features = np.asarray(self.features, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"features must be numbers: {exc}") from None
+        self.features = float_array("features", self.features)
         if not (isinstance(self.labels, np.ndarray) and self.labels.dtype.kind in "iuf"):
             got = getattr(self.labels, "dtype", type(self.labels).__name__)
             raise ConfigurationError(f"labels must be a numeric array, got {got}")
@@ -103,12 +100,12 @@ def generate_synthetic(
 def check_synthetic_sizes(n: int, feature_dim: int, num_classes: int, margin: float) -> None:
     """Raise ConfigurationError unless generate_synthetic accepts these
     sizes: whole numbers num_classes >= 1, n >= num_classes and
-    feature_dim >= num_classes, and a finite margin >= 0."""
+    feature_dim >= num_classes, and a margin that is a finite real number
+    >= 0."""
     num_classes = whole_number("num_classes", num_classes, 1)
     whole_number("n", n, num_classes)
     whole_number("feature_dim", feature_dim, num_classes)
-    if not 0 <= margin < np.inf:
-        raise ConfigurationError(f"margin must be finite and >= 0, got {margin!r}")
+    real_number("margin", margin)
 
 
 def _simplex_directions(rng, num_classes: int, feature_dim: int) -> np.ndarray:
@@ -204,10 +201,10 @@ def train_val_split(
     dataset: Dataset, val_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset, np.ndarray]:
     """Seeded-shuffle split; returns (train, val, held-out indices). A
-    negative, NaN or infinite val_fraction raises ConfigurationError."""
+    val_fraction that is not a finite real number >= 0 raises
+    ConfigurationError."""
     n = len(dataset)
-    if not 0 <= val_fraction < np.inf:  # False for NaN
-        raise ConfigurationError(f"val_fraction must be finite and >= 0, got {val_fraction}")
+    real_number("val_fraction", val_fraction)
     n_val = max(1, int(round(n * val_fraction)))
     if n_val >= n:
         raise ConfigurationError("validation split would consume the whole dataset")

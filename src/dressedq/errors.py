@@ -1,7 +1,13 @@
-"""Exception types shared across the package, and the whole-number check
-for sizes, counts and seeds."""
+"""Exception types shared across the package, and the three rules for
+values from outside: `whole_number` for sizes, counts and seeds,
+`real_number` for rates, fractions and latencies, and `float_array` for
+features, logits and angles. Each raises ConfigurationError naming the
+value."""
 
+import math
 import operator
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -32,3 +38,29 @@ def whole_number(name: str, value, low: int, high: float = float("inf")) -> int:
     if number is None or not low <= number <= high:
         raise ConfigurationError(f"{name} must be a whole number in {low}..{high}, got {value!r}")
     return number
+
+
+def real_number(name: str, value, low: float = 0.0, above: bool = False) -> float:
+    """`value` as a float when it is an int, float or numpy integer or
+    floating scalar, not a bool, that is finite as a float and >= low
+    (> low with `above`); otherwise raise ConfigurationError naming
+    `name`."""
+    # bool cannot be subclassed, so the type test is the isinstance one.
+    real = isinstance(value, (float, int, np.floating, np.integer)) and type(value) is not bool
+    try:
+        if real and math.isfinite(value) and (value > low if above else value >= low):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    bound = ">" if above else ">="
+    raise ConfigurationError(f"{name} must be a finite real number {bound} {low}, got {value!r}")
+
+
+def float_array(name: str, value) -> np.ndarray:
+    """`value` as a float64 array, with no copy of one that is already; a
+    ragged list or anything numpy cannot read as numbers raises
+    ConfigurationError naming `name`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{name} must be numbers: {err}") from None

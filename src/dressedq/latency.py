@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import CircuitSpec, circuit_evals_per_sample
-from .errors import whole_number
+from .errors import real_number, whole_number
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,11 @@ class BackendProfile:
     job_cap: int | None = None  # max jobs before submissions fail
 
     def __post_init__(self):
-        if not (0 <= self.mean_job_latency < math.inf and 0 <= self.queue_overhead < math.inf):
-            raise ValueError("latencies must be nonnegative and finite")
-        if self.seconds_per_job == math.inf:
-            raise ValueError(
-                f"latencies {self.mean_job_latency:g} + {self.queue_overhead:g} "
-                "overflow to an infinite time per job"
-            )
+        # The terms first: their sum would raise a bare TypeError on None, and
+        # once both are finite it is infinite only by overflow.
+        real_number("latencies", self.mean_job_latency)
+        real_number("latencies", self.queue_overhead)
+        real_number("sum of latencies", self.seconds_per_job)
         if self.job_cap is not None:
             whole_number("job_cap", self.job_cap, 0)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import CircuitSpec, param_shift_grad, quantum_forward
 from .data import seeded_rng
-from .errors import ConfigurationError, TrainingError, whole_number
+from .errors import ConfigurationError, TrainingError, float_array, real_number, whole_number
 
 CHECKPOINT_MAGIC = b"HYQN1"
 
@@ -52,7 +52,8 @@ class HybridModel:
     `params` is a contiguous float64 vector holding every trainable weight;
     pre_weights (q, D), pre_bias (q,), thetas (d, q), post_weights (C, q)
     and post_bias (C,) are views into it, so params is updated in place and
-    never rebound. Gradients and velocities are vectors of the same layout.
+    never rebound, so it must be writable. Gradients and velocities are
+    vectors of the same layout.
     A copy or a pickle round trip rebuilds the views over its own params.
     feature_dim and num_classes are whole numbers >= 1 (ConfigurationError
     naming the field), checked here and in init_model before any draw.
@@ -71,14 +72,15 @@ class HybridModel:
             and params.dtype == np.float64
             and params.shape == (size,)
             and params.flags.c_contiguous
+            and params.flags.writeable
         ):
             got = (
-                f"{params.dtype} {params.shape}"
+                f"{'' if params.flags.writeable else 'read-only '}{params.dtype} {params.shape}"
                 if isinstance(params, np.ndarray)
                 else type(params).__name__
             )
             raise ConfigurationError(
-                f"params must be a contiguous float64 vector of length {size}, got {got}"
+                f"params must be a writable contiguous float64 vector of length {size}, got {got}"
             )
         self.pre_weights, self.pre_bias, self.thetas, self.post_weights, self.post_bias = (
             self.split(params)
@@ -103,7 +105,7 @@ class HybridModel:
         return list(self.split(self.params))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 4
@@ -117,10 +119,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "workers"):
             whole_number(name, getattr(self, name), 1)
         whole_number("seed", self.seed, 0)
-        if not 0 < self.base_lr < math.inf:
-            raise ConfigurationError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if not 0 <= self.momentum < math.inf:
-            raise ConfigurationError(f"momentum must be finite and >= 0, got {self.momentum}")
+        real_number("base_lr", self.base_lr, above=True)
+        real_number("momentum", self.momentum)
         if self.lr_scaling not in ("linear", "none"):
             raise ConfigurationError(f"unknown lr_scaling {self.lr_scaling!r}")
 
@@ -164,8 +164,9 @@ def _squash(model: HybridModel, features: np.ndarray) -> np.ndarray:
 
 def _as_features(model: HybridModel, features, replicas: bool = False) -> np.ndarray:
     """features as float64, shape (D,) or (n, D), or (N, B, D) with
-    `replicas`; any other shape raises ConfigurationError."""
-    features = np.asarray(features, dtype=float)
+    `replicas`; a ragged list, anything numpy cannot read as numbers or
+    any other shape raises ConfigurationError."""
+    features = float_array("features", features)
     dim = model.feature_dim
     if not 1 <= features.ndim <= (3 if replicas else 2) or features.shape[-1] != dim:
         forms = f"({dim},) or (n, {dim})" + (f" or (N, B, {dim})" if replicas else "")
@@ -211,7 +212,7 @@ def _one_hot(labels, num_classes: int) -> np.ndarray:
 
 def loss_cross_entropy(logits: np.ndarray, label: int) -> float:
     """-log softmax(logits)[label], stable under large logits."""
-    logits = np.asarray(logits, dtype=float)
+    logits = float_array("logits", logits)
     (hit,) = _one_hot(label, logits.shape[0])
     shifted, _, e_sum = _softmax_terms(logits)
     return float(np.log(e_sum[0]) - shifted[hit][0])
@@ -302,15 +303,14 @@ def sgd_step(
 ) -> None:
     """In-place momentum SGD on whole vectors: v <- momentum*v + g;
     params <- params - lr*v. grad and velocity are laid out like
-    model.params. Before anything changes, a learning rate that is not
-    positive and finite, a momentum that is negative or not finite (the
-    TrainConfig rules) or a grad or velocity that is not an array of
-    params' shape raises ConfigurationError naming it, and a non-finite
-    gradient raises TrainingError."""
-    if not 0 < lr < math.inf:
-        raise ConfigurationError(f"learning rate must be positive and finite, got {lr}")
-    if not 0 <= momentum < math.inf:
-        raise ConfigurationError(f"momentum must be finite and >= 0, got {momentum}")
+    model.params. Before anything changes, a learning rate that is not a
+    finite real number > 0, a momentum that is not one >= 0 (the
+    TrainConfig rules of errors.real_number, which rejects a bool) or a
+    grad or velocity that is not an array of params' shape raises
+    ConfigurationError naming it, and a non-finite gradient raises
+    TrainingError."""
+    real_number("learning rate", lr, above=True)
+    real_number("momentum", momentum)
     for name, vector in (("grad", grad), ("velocity", velocity)):
         if not (isinstance(vector, np.ndarray) and vector.shape == model.params.shape):
             raise ConfigurationError(

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, whole_number
+from .errors import ConfigurationError, float_array, whole_number
 
 # 2^24 amplitudes is 128 MiB of doubles per row; anything above that is
 # rejected rather than allowed to thrash the machine.
@@ -106,10 +106,11 @@ class Rotation:
     """cos and sin of half of RY angles of any shape, the angles checked finite.
 
     `Rotation(angles)` takes a lone angle or an array of them, converts
-    them through numpy as float64 and raises ValueError for a non-finite
-    one. A lone angle gives numpy float64 scalars, not 0-d arrays, and any
-    angle gets the same bits alone as in an array, so a batch row equals
-    its single-row run. `rotation[index]` is the Rotation of
+    them by errors.float_array (ConfigurationError naming `angles` for
+    anything numpy cannot read as numbers) and raises ValueError for a
+    non-finite one. A lone angle gives numpy float64 scalars, not 0-d
+    arrays, and any angle gets the same bits alone as in an array, so a
+    batch row equals its single-row run. `rotation[index]` is the Rotation of
     `angles[index]`, made by indexing the stored cos and sin without a
     second check: an index that picks one angle gives a shared-angle gate,
     one that picks a (K,) vector gives a per-row gate of a K-row state.
@@ -118,7 +119,7 @@ class Rotation:
     __slots__ = ("cos", "sin")
 
     def __init__(self, angles):
-        half = np.asarray(angles, dtype=float) / 2.0
+        half = float_array("angles", angles) / 2.0
         # count_nonzero reads a mask faster than ndarray.all does.
         if np.count_nonzero(np.isfinite(half)) < half.size:
             raise ValueError(f"non-finite rotation angle in {angles!r}")

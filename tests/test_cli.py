@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,26 @@ def test_latency_sweep_out_of_range_value_is_an_argparse_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error: " in err and quantity in err.rpartition("error: ")[2]
     assert not out.exists()
+
+
+def test_module_entry_prints_help():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dressedq.cli", "--help"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--sweep" in proc.stdout
+
+
+def test_more_workers_than_hardware_threads_warns(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    # A NaN rate fails the point before any pool starts; the warning comes first.
+    rows = run_cli(tmp_path, "w.csv", "--sweep", "workers", "--workers", "2", "--lr", "nan", *TINY)
+    assert rows[1][-1] == "ConfigurationError"
+    assert "up to 2 workers on a machine with 1 hardware threads" in capsys.readouterr().err
 
 
 def test_qubit_sweep_one_row(tmp_path):

@@ -41,6 +41,22 @@ def test_dataset_width_is_its_features_width():
         Dataset([["a", "b"]], np.array([0]), 1)
 
 
+@pytest.mark.parametrize(
+    "features, labels, message",
+    [
+        (np.zeros((3, 2)), np.array([0, 1]), "labels shape inconsistent"),
+        (np.zeros((2, 2)), np.zeros((2, 1), dtype=np.int64), "labels shape inconsistent"),
+        (np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0, 1]), "non-finite feature"),
+        (np.array([[0.0, np.inf], [1.0, 2.0]]), np.array([0, 1]), "non-finite feature"),
+        (np.zeros((2, 2)), np.array([0, 2]), "label outside 0..num_classes-1"),
+        (np.zeros((2, 2)), np.array([-1, 1]), "label outside 0..num_classes-1"),
+    ],
+)
+def test_dataset_rejects_mismatched_labels_and_bad_values(features, labels, message):
+    with pytest.raises(ConfigurationError, match=message):
+        Dataset(features, labels, 2)
+
+
 def test_datasets_compare_by_identity():
     a = generate_synthetic(10, 4, 2, 3.0, seed=1)
     b = generate_synthetic(10, 4, 2, 3.0, seed=1)

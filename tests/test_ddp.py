@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import re
@@ -50,6 +51,20 @@ def test_scale_lr():
 def test_config_rejects_non_finite_or_negative_rates(field, value):
     with pytest.raises(ConfigurationError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_config_fields_cannot_be_reassigned():
+    # A field set after construction would skip its check.
+    config = TrainConfig(base_lr=0.1, workers=2)
+    for field, value in (("lr_scaling", "sqrt"), ("epochs", 1.5), ("base_lr", 0.2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+    assert (config.lr_scaling, config.epochs, config.lr) == ("linear", 30, 0.2)
+
+
+def test_allreduce_of_no_gradients_rejected():
+    with pytest.raises(ConfigurationError, match="at least one"):
+        allreduce_mean([])
 
 
 def test_allreduce_opposite_gradients_cancel():

@@ -147,6 +147,7 @@ def test_copy_is_independent():
         np.zeros(16, dtype=np.int64),
         np.zeros(32)[::2],  # right length, not contiguous
         [0.0] * 16,
+        np.frombuffer(np.zeros(16).tobytes()),  # read-only
     ],
 )
 def test_bad_params_rejected(params):
