@@ -40,20 +40,18 @@ def whole_number(name: str, value, low: int, high: float = float("inf")) -> int:
     return number
 
 
-def real_number(name: str, value, low: float = 0.0, above: bool = False) -> float:
-    """`value` as a float when it is an int, float or numpy integer or
-    floating scalar, not a bool, that is finite as a float and >= low
-    (> low with `above`); otherwise raise ConfigurationError naming
-    `name`."""
-    # bool cannot be subclassed, so the type test is the isinstance one.
-    real = isinstance(value, (float, int, np.floating, np.integer)) and type(value) is not bool
+def real_number(name: str, value, above: bool = False) -> None:
+    """Raise ConfigurationError naming `name` unless `value` is finite and
+    >= 0 (> 0 with `above`), and an int or float (not a bool or any other
+    subclass) or a numpy integer or floating scalar."""
+    real = type(value) is float or type(value) is int or isinstance(value, (np.floating, np.integer))
     try:
-        if real and math.isfinite(value) and (value > low if above else value >= low):
-            return float(value)
+        if real and math.isfinite(value) and (value > 0 if above else value >= 0):
+            return
     except OverflowError:  # an int past the float range
         pass
     bound = ">" if above else ">="
-    raise ConfigurationError(f"{name} must be a finite real number {bound} {low}, got {value!r}")
+    raise ConfigurationError(f"{name} must be a finite real number {bound} 0, got {value!r}")
 
 
 def float_array(name: str, value) -> np.ndarray:

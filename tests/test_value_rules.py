@@ -69,8 +69,8 @@ def test_real_settings_take_ints_and_numpy_scalars():
 
 
 def test_real_number_rule():
-    assert real_number("x", np.int64(3)) == 3.0 and type(real_number("x", 2)) is float
-    assert real_number("x", 0) == 0.0
+    for value in (0, 0.0, 2, np.int64(3), np.float32(0.5), np.float64(2.0)):
+        assert real_number("x", value) is None
     for value in (0, -1.0, 10**400, 1j, np.bool_(True), np.array(1.0), [1.0]):
         with pytest.raises(ConfigurationError, match="x must be a finite real number > 0"):
             real_number("x", value, above=True)
