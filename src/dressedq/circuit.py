@@ -8,6 +8,10 @@ Circuit layout (fixed):
         RY(thetas[layer][i]) on wire i
     measure <Z> on every wire
 
+A layer's CNOT ladder is one qsim.apply_cnot call on the (controls,
+targets) tuples that `_ladder` builds once per q, so it runs as one
+gather through the ladder's cached basis permutation.
+
 Gradients use the exact parameter-shift rule for RY generators:
 d(out)/d(angle) = [f(angle + pi/2) - f(angle - pi/2)] / 2.
 
@@ -37,8 +41,8 @@ rows are ordered by where they first differ, one closed-form rule
 the layer-0 shifts, then those of each later layer. The first three
 groups start as one product state and run through layer 0 together; just
 before layer l's RYs (l >= 1) the state grows by layer l's 2qB rows,
-copies of the B unshifted columns. The gate calls stay one per gate of
-the layout, each on fewer rows, and every amplitude goes through the
+copies of the B unshifted columns. The gate calls stay those of an
+unforked run, each on fewer rows, and every amplitude goes through the
 arithmetic of an unforked run, so results are bit-identical to running
 each row from |0...0>. param_shift_grad is one loop over groups of whole
 samples, as many as fit one BATCH_AMPLITUDES chunk, each one
@@ -200,17 +204,21 @@ def _run_rows(
     for i in range(q - 2, -1, -1):
         amps = (wires[:, None, :, i] * amps).reshape(-1, live)
     state = qsim.StateVector(amps)
+    controls, targets = _ladder(q)
     for layer in range(d):
-        for i in range(0, q - 1, 2):
-            qsim.apply_cnot(state, i, i + 1)
-        for i in range(1, q - 1, 2):
-            qsim.apply_cnot(state, i, i + 1)
+        qsim.apply_cnot(state, controls, targets)
         if fork and layer:
             _grow(state, 2 * q, fork)
             live = state.amplitudes.shape[1]
         for i in range(q):
             qsim.apply_ry(state, i, theta_rot[layer, i] if shared else theta_rot[:live, layer, i])
     return qsim.expect_z_all(state)
+
+
+@functools.lru_cache(maxsize=qsim.MAX_QUBITS)
+def _ladder(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (controls, targets) of the layout's CNOT ladder on q wires."""
+    return (*range(0, q - 1, 2), *range(1, q - 1, 2)), (*range(1, q, 2), *range(2, q, 2))
 
 
 def _grow(state: qsim.StateVector, copies: int, b: int) -> None:

@@ -66,8 +66,11 @@ def feasibility_report(
     profile: BackendProfile,
     budget_seconds: float,
 ) -> FeasibilityReport:
-    if not budget_seconds > 0:  # False for NaN
-        raise ValueError(f"budget must be positive, got {budget_seconds}")
+    """Project `epochs` epochs over n_train samples on `profile` against a
+    budget: a finite real number > 0, or math.inf for no limit, else
+    ConfigurationError naming `budget_seconds`."""
+    if budget_seconds != math.inf:  # +inf is no limit
+        real_number("budget_seconds", budget_seconds, above=True)
     whole_number("epochs", epochs, 1)
     per_epoch = jobs_per_epoch(n_train, spec)
     total_jobs = epochs * per_epoch

@@ -154,12 +154,24 @@ def init_model(
     return model
 
 
-def _squash(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """tanh of the pre-net output for features (B, D) or (N, B, D), one (q, D)
-    @ (D, B) product per batch, C-ordered (the product's transpose is not),
-    so the embedding angles, (pi/2) times it, reach the circuit rows first."""
-    z = (model.pre_weights @ features.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return np.tanh(z + model.pre_bias, order="C")
+def _squash(model: HybridModel, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """tanh of the pre-net output for x (B, D) or (N, B, D), one (q, D) @
+    (D, B) product per batch, C-ordered (the product's transpose is not),
+    so the embedding angles, (pi/2) times it, reach the circuit rows first.
+
+    A non-finite entry of the caller's `features`, which x views, raises
+    ConfigurationError naming its index. It makes its sample's pre-net
+    outputs non-finite, and tanh would squash an inf, so only the small
+    output is checked and `features` is searched only when that fails;
+    finite features whose outputs overflow pass on as before.
+    """
+    z = (model.pre_weights @ x.swapaxes(-1, -2)).swapaxes(-1, -2) + model.pre_bias
+    if np.count_nonzero(np.isfinite(z)) < z.size:
+        bad = np.argwhere(~np.isfinite(features))
+        if len(bad):
+            where = tuple(int(i) for i in bad[0])
+            raise ConfigurationError(f"features{list(where)} is {features[where]}, not a finite number")
+    return np.tanh(z, order="C")
 
 
 def _as_features(model: HybridModel, features, replicas: bool = False) -> np.ndarray:
@@ -176,13 +188,12 @@ def _as_features(model: HybridModel, features, replicas: bool = False) -> np.nda
 
 def forward(model: HybridModel, features: np.ndarray) -> np.ndarray:
     """Logits (n, C) for n feature vectors (n, D), or (C,) for one (D,), run
-    as its one-row batch."""
+    as its one-row batch. A non-finite feature raises ConfigurationError
+    naming its index."""
     features = _as_features(model, features)
-    if features.ndim == 1:
-        return forward(model, features[None])[0]
-    embed = (np.pi / 2.0) * _squash(model, features)
-    qout = quantum_forward(model.spec, model.thetas, embed)
-    return qout @ model.post_weights.T + model.post_bias
+    embed = (np.pi / 2.0) * _squash(model, features.reshape(-1, model.feature_dim), features)
+    logits = quantum_forward(model.spec, model.thetas, embed) @ model.post_weights.T + model.post_bias
+    return logits[0] if features.ndim == 1 else logits
 
 
 def _softmax_terms(
@@ -231,7 +242,8 @@ def backward(
     to the (B, D) call on features[n]: every form is one pass over
     (N, B, ·) arrays, N = 1 for the first two, whose matmuls keep one
     replica's (B, D) slices, as a matmul's sums may follow its operands'
-    shapes. A gradient is a float64 vector laid out like model.params.
+    shapes. A gradient is a float64 vector laid out like model.params. A
+    non-finite feature raises ConfigurationError naming its index.
     """
     features = _as_features(model, features, replicas=True)
     labels = np.asarray(label)
@@ -246,7 +258,7 @@ def backward(
     n, b, _ = x.shape
     q, dq = model.spec.qubits, model.thetas.size
     onehot = _one_hot(labels, model.num_classes).reshape(n, b, -1)  # (N, B, C) bool
-    t = _squash(model, x)  # (N, B, q)
+    t = _squash(model, x, features)  # (N, B, q)
     jac_thetas, jac_embed, qout = param_shift_grad(
         model.spec, model.thetas, ((np.pi / 2.0) * t).reshape(n * b, q)
     )

@@ -116,6 +116,26 @@ def test_rows_are_columns_equal_to_single_row_runs(q, k):
         assert np.array_equal(z_batched[row], expect_z_all(single))
 
 
+@pytest.mark.parametrize("q, k", [(2, 1), (2, 5), (4, 3), (6, 2), (12, 1), (12, 3)])
+def test_cnot_pair_sequence_rows_equal_one_call_at_a_time(q, k):
+    # The pairs as one call on k rows, one call per pair and one call on
+    # each row alone give the same amplitudes.
+    rng = np.random.default_rng(60 + q + k)
+    pairs = [tuple(int(w) for w in rng.choice(q, size=2, replace=False)) for _ in range(q + 3)]
+    controls, targets = tuple(c for c, _ in pairs), tuple(t for _, t in pairs)
+    gates = seeded_gates(q, k, 20, seed=q + k)
+    batched = apply_all(new_zero_state(q, rows=k), gates)
+    one_by_one = qsim.StateVector(batched.amplitudes.copy())
+    apply_cnot(batched, controls, targets)
+    for c, t in pairs:
+        apply_cnot(one_by_one, c, t)
+    assert np.array_equal(batched.amplitudes, one_by_one.amplitudes)
+    for row in range(k):
+        single = apply_all(new_zero_state(q), row_gates(gates, row))
+        apply_cnot(single, controls, targets)
+        assert np.array_equal(batched.amplitudes[:, row], single.amplitudes)
+
+
 @st.composite
 def forward_batches(draw):
     q = draw(st.integers(1, 5))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,14 @@ def test_format_report_mentions_key_numbers():
     assert "13,908" in text
     assert "remote" in text
     assert "NO" in text
+
+
+@pytest.mark.parametrize("budget", [None, "10", True, -1.0, 0, -np.inf])
+def test_budget_that_is_not_a_real_number_above_zero_is_named(budget):
+    with pytest.raises(ConfigurationError, match="budget_seconds"):
+        feasibility_report(10, PAPER_SPEC, 1, BackendProfile("p", 1.0), budget)
+
+
+def test_infinite_budget_is_no_limit():
+    report = feasibility_report(10, PAPER_SPEC, 1, BackendProfile("p", 1.0), math.inf)
+    assert report.feasible

@@ -11,10 +11,10 @@ from dressedq import (
     expect_z_all,
     new_zero_state,
 )
-from dressedq import CircuitSpec, quantum_forward
+from dressedq import CircuitSpec, quantum_forward, qsim
 from dressedq.qsim import Rotation, StateVector
 
-from oracle import apply_gates_sim, expect_z_dense, random_gates, run_circuit_dense
+from oracle import apply_gates_sim, cnot_unitary, expect_z_dense, random_gates, run_circuit_dense
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -190,6 +190,77 @@ def test_bell_state():
 def test_cnot_rejects_equal_wires():
     with pytest.raises(IndexError):
         apply_cnot(new_zero_state(2), 1, 1)
+
+
+def random_pairs(rng, q, count):
+    """`count` random (control, target) pairs of distinct wires on q qubits."""
+    pairs = [tuple(int(w) for w in rng.choice(q, size=2, replace=False)) for _ in range(count)]
+    return tuple(c for c, _ in pairs), tuple(t for _, t in pairs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_cnot_pair_sequence_is_the_product_of_its_cnots(q):
+    rng = np.random.default_rng(40 + q)
+    for count in (1, 2, 5, 9):
+        controls, targets = random_pairs(rng, q, count)
+        start = apply_gates_sim(new_zero_state(q), random_gates(rng, q, 12))
+        before = start.amplitudes.copy()
+        unitary = np.eye(1 << q)
+        for c, t in zip(controls, targets):
+            unitary = cnot_unitary(c, t, q).real @ unitary
+        pairs = apply_cnot(start, controls, targets)
+        assert np.array_equal(pairs.amplitudes, unitary @ before)
+        one_by_one = StateVector(before)
+        for c, t in zip(controls, targets):
+            apply_cnot(one_by_one, c, t)
+        assert np.array_equal(pairs.amplitudes, one_by_one.amplitudes)
+
+
+def test_cnot_of_no_pairs_leaves_the_state():
+    state = apply_gates_sim(new_zero_state(3), random_gates(np.random.default_rng(5), 3, 10))
+    before = state.amplitudes.copy()
+    assert np.array_equal(apply_cnot(state, (), ()).amplitudes, before)
+
+
+@pytest.mark.parametrize(
+    "controls, targets",
+    [
+        ((0, 1), (1,)),
+        ((0,), (1, 2)),
+        ((0, 1), 2),
+        ((0, 2), (1, 2)),
+        ((0, 1, 2), (1, 0, 2)),
+        ((0, True), (1, 2)),
+        ((0, 1), (1, 2.0)),
+        ((0, np.float64(1.0)), (1, 2)),
+        ((0, 1), (1, 3)),
+        ((0, -1), (1, 2)),
+        ((0, [1]), (1, 2)),
+    ],
+)
+def test_bad_cnot_pair_sequence_fails_before_any_change(controls, targets):
+    state = new_zero_state(3, rows=2)
+    apply_h(state, 0)
+    apply_ry(state, 1, np.array([0.7, -0.2]))
+    before = state.amplitudes.copy()
+    with pytest.raises(IndexError):
+        apply_cnot(state, controls, targets)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_cnot_index_cache_is_bounded_and_read_only():
+    assert qsim._cnot_index.cache_info().maxsize == 8
+    apply_cnot(new_zero_state(4), (0, 2, 1), (1, 3, 2))
+    index = qsim._cnot_index(4, (0, 2, 1), (1, 3, 2))
+    assert index.dtype == np.intp and not index.flags.writeable
+    assert sorted(index) == list(range(16))
+    with pytest.raises(ValueError):
+        index[0] = 1
+    # A numpy integer wire is converted to the int key, not cached apart.
+    qsim._cnot_index.cache_clear()
+    apply_cnot(new_zero_state(4), (np.int64(0), 2), (1, np.int32(3)))
+    apply_cnot(new_zero_state(4), (0, 2), (1, 3))
+    assert qsim._cnot_index.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("op", [apply_h, lambda s, w: apply_ry(s, w, 0.1)])

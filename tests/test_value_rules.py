@@ -1,6 +1,8 @@
 """Every entry point that takes a real-valued setting or a float array from
 outside applies the one rule for it from `dressedq.errors`, before any work
 is done, and the ConfigurationError it raises names the argument."""
+import re
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,36 @@ def test_ry_angle_that_is_not_a_number_fails_before_any_change():
     with pytest.raises(ConfigurationError, match="angles must be numbers"):
         apply_ry(state, 0, "abc")
     assert state.amplitudes.tobytes() == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
+@pytest.mark.parametrize(
+    "call, features, where",
+    [
+        (lambda f: forward(MODEL, f), [0.5, "bad"], "[1]"),
+        (lambda f: forward(MODEL, f), [[0.5, 1.0], [1.0, "bad"], ["bad", 0.0]], "[1, 1]"),
+        (lambda f: backward(MODEL, f, [0, 1]), [[0.5, 1.0], ["bad", 2.0]], "[1, 0]"),
+        (lambda f: backward(MODEL, f, 0), ["bad", 1.0], "[0]"),
+        (lambda f: backward(MODEL, f, [[0], [1]]), [[[0.5, 0.5]], [[1.0, "bad"]]], "[1, 0, 1]"),
+    ],
+)
+def test_non_finite_feature_is_named_before_any_circuit_runs(call, features, where, bad):
+    # An inf would be squashed to 1 by tanh and a None read as NaN; each
+    # names the first bad entry of the features as given.
+    def fill(value):
+        return [fill(v) for v in value] if isinstance(value, list) else bad if value == "bad" else value
+
+    features = fill(features)
+    before = forward_eval_count()
+    with pytest.raises(ConfigurationError, match=re.escape(f"features{where} is ")):
+        call(features)
+    assert forward_eval_count() == before
+
+
+def test_finite_features_whose_pre_net_output_overflows_still_run():
+    # Only a non-finite input is refused: 1e308 * 2 overflows the pre-net
+    # product to inf, which tanh squashes as it did before.
+    model = init_model(SPEC, 2, 2, seed=0)
+    model.pre_weights[...] = 2.0
+    with np.errstate(over="ignore"):
+        assert np.isfinite(forward(model, [1e308, 1e308])).all()
